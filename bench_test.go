@@ -9,7 +9,7 @@
 //	BenchmarkFigure5Sweep         — Fig. 5 runtime vs ambivalent fraction (E5)
 //	BenchmarkFigure2Diagonal      — Fig. 2 clustering quality (E7)
 //	BenchmarkAblationBucketSize   — §4 bucket-size trade-off (E8)
-//	BenchmarkAblationHierarchical — §4 two-level SMAs (E9)
+//	BenchmarkAblationHierarchical — §4 hierarchical SMAs: run summaries (E9)
 //	BenchmarkAblationSemiJoin     — §4 semi-join SMAs (E10)
 //
 // Query benchmarks run with the simulated disk model (100µs sequential
@@ -33,7 +33,6 @@ import (
 	"sma/internal/engine"
 	"sma/internal/exec"
 	"sma/internal/experiments"
-	"sma/internal/pred"
 	"sma/internal/tpcd"
 	"sma/internal/tuple"
 )
@@ -281,38 +280,29 @@ func BenchmarkAblationBucketSize(b *testing.B) {
 
 // --- E9 ---------------------------------------------------------------------
 
-// BenchmarkAblationHierarchical compares flat grading against two-level
-// SMAs (§4); the metric reports how many level-1 entries the second level
-// skipped.
+// BenchmarkAblationHierarchical compares grading every bucket on its own
+// against grading through the run summaries (§4's second level) on
+// diagonal data; the metric reports how many level-1 entries each reads.
 func BenchmarkAblationHierarchical(b *testing.B) {
 	e := cachedEnv(b, "plain-diagonal", experiments.Config{SF: benchSF, Order: tpcd.OrderDiagonal})
-	atom := experiments.Q1Pred(90).(*pred.Atom)
+	atom := experiments.Q1Pred(90)
+	g := e.Grader()
 	b.Run("flat", func(b *testing.B) {
-		g := e.Grader()
-		b.ResetTimer()
+		nb := g.NumBuckets()
 		for i := 0; i < b.N; i++ {
-			g.GradeAll(atom)
+			for bk := 0; bk < nb; bk++ {
+				g.Grade(bk, atom)
+			}
 		}
-		b.ReportMetric(float64(e.LineItem.NumBuckets()), "l1-entries")
+		b.ReportMetric(float64(nb), "l1-entries")
 	})
-	for _, fanout := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("twolevel/fanout=%d", fanout), func(b *testing.B) {
-			tl, err := core.NewTwoLevel(e.SMAs["min"], e.SMAs["max"], fanout)
-			if err != nil {
-				b.Fatal(err)
-			}
-			grades := make([]core.Grade, tl.NumBuckets())
-			var stats core.HierStats
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				stats, err = tl.GradeAtom(atom, grades)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(stats.L1EntriesRead), "l1-entries")
-		})
-	}
+	b.Run("runs", func(b *testing.B) {
+		var st core.RunStats
+		for i := 0; i < b.N; i++ {
+			_, st = g.GradeRuns(atom)
+		}
+		b.ReportMetric(float64(st.BucketsRead), "l1-entries")
+	})
 }
 
 // --- E10 --------------------------------------------------------------------

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	smabench [-exp all|e1|e2|...|e10|pr4] [-sf 0.02] [-latency] [-delta 90]
+//	smabench [-exp all|e1|e2|...|e11|pr4|serve|obs|wal|chaos] [-sf 0.02] [-latency] [-delta 90]
 //	smabench -exp pr4 -out BENCH_pr4.json   # batch/prefetch trajectory
 //	smabench -exp obs -out BENCH_obs.json   # observability overhead (off/metrics/trace)
 //	smabench -exp wal -out BENCH_wal.json   # group-commit throughput per sync policy
@@ -35,10 +35,10 @@ var experimentCatalog = []struct{ ID, Desc string }{
 	{"e4", "Table 4: Query 1 with delta-day selection window"},
 	{"e5", "Figure 5: cost crossover as the ambivalent fraction grows"},
 	{"e6", "Figure 1: SMA file layout walkthrough"},
-	{"e7", "§4 ablation: bucket size sweep"},
-	{"e8", "§4 ablation: degree-of-parallelism sweep"},
-	{"e9", "§4 ablation: batch size sweep"},
-	{"e10", "§4 ablation: maintenance cost under appends"},
+	{"e7", "Figure 2: clustering by physical order, with the diagonal scatter"},
+	{"e8", "§4 ablation: bucket size sweep"},
+	{"e9", "§4 ablation: hierarchical SMAs (run summaries) on sorted and diagonal data"},
+	{"e10", "§4 ablation: semi-join SMAs"},
 	{"e11", "§4 ablation: SMA scan vs index plan by selectivity"},
 	{"pr4", "batch/prefetch read-path trajectory (BENCH_pr4.json)"},
 	{"serve", "HTTP serve throughput under concurrent clients (BENCH_serve.json)"},
@@ -127,7 +127,7 @@ func main() {
 	}
 	if run("e9") {
 		ok = true
-		res, err := experiments.RunE9(cfg, *delta, []int{8, 32, 128})
+		res, err := experiments.RunE9(cfg, *delta)
 		if err != nil {
 			fatal(err)
 		}

@@ -99,12 +99,10 @@ func (s *SMA) flushBucket(accs map[GroupKey]*acc, b int) {
 	}
 	for key, g := range s.groups {
 		if a, ok := accs[key]; ok {
-			g.Vec.Append(a.value(s.Def.Agg))
-			g.Present.Append(true)
+			g.appendEntry(a.value(s.Def.Agg), true)
 			delete(accs, key)
 		} else {
-			g.Vec.Append(0)
-			g.Present.Append(false)
+			g.appendEntry(0, false)
 		}
 	}
 }
@@ -127,17 +125,14 @@ func (s *SMA) RecomputeBucket(h *storage.HeapFile, b int) error {
 	}
 	for key, a := range accs {
 		if _, ok := s.groups[key]; !ok {
-			g := s.addGroup(key, a.vals, s.NumBuckets)
-			_ = g
+			s.addGroup(key, a.vals, s.NumBuckets)
 		}
 	}
 	for key, g := range s.groups {
 		if a, ok := accs[key]; ok {
-			g.Vec.Set(b, a.value(s.Def.Agg))
-			g.Present.Set(b, true)
+			g.setEntry(b, a.value(s.Def.Agg), true)
 		} else {
-			g.Vec.Set(b, 0)
-			g.Present.Set(b, false)
+			g.setEntry(b, 0, false)
 		}
 	}
 	return nil
@@ -150,9 +145,7 @@ func (s *SMA) OnAppend(h *storage.HeapFile, t tuple.Tuple, rid storage.RID) erro
 	for b >= s.NumBuckets {
 		// Open a new bucket: one absent entry in every group file.
 		for _, key := range s.order {
-			g := s.groups[key]
-			g.Vec.Append(0)
-			g.Present.Append(false)
+			s.groups[key].appendEntry(0, false)
 		}
 		s.NumBuckets++
 	}
@@ -171,31 +164,7 @@ func (s *SMA) OnAppend(h *storage.HeapFile, t tuple.Tuple, rid storage.RID) erro
 	if s.Def.Expr != nil {
 		v = s.Def.Expr.Eval(t)
 	}
-	if !g.Present.Get(b) {
-		switch s.Def.Agg {
-		case Count:
-			g.Vec.Set(b, 1)
-		default:
-			g.Vec.Set(b, v)
-		}
-		g.Present.Set(b, true)
-		return nil
-	}
-	cur := g.Vec.Get(b)
-	switch s.Def.Agg {
-	case Min:
-		if v < cur {
-			g.Vec.Set(b, v)
-		}
-	case Max:
-		if v > cur {
-			g.Vec.Set(b, v)
-		}
-	case Sum:
-		g.Vec.Set(b, cur+v)
-	case Count:
-		g.Vec.Set(b, cur+1)
-	}
+	g.foldValue(b, v)
 	return nil
 }
 
@@ -217,7 +186,7 @@ func (s *SMA) OnUpdate(h *storage.HeapFile, oldT, newT tuple.Tuple, rid storage.
 		return s.RecomputeBucket(h, b)
 	}
 	g := s.groups[oldKey]
-	if g == nil || !g.Present.Get(b) {
+	if g == nil || !g.present.Get(b) {
 		// The SMA is out of sync with the heap; rebuild the bucket.
 		return s.RecomputeBucket(h, b)
 	}
@@ -226,16 +195,16 @@ func (s *SMA) OnUpdate(h *storage.HeapFile, oldT, newT tuple.Tuple, rid storage.
 		oldV = s.Def.Expr.Eval(oldT)
 		newV = s.Def.Expr.Eval(newT)
 	}
-	cur := g.Vec.Get(b)
+	cur := g.vec.Get(b)
 	switch s.Def.Agg {
 	case Count:
 		return nil // cardinality unchanged
 	case Sum:
-		g.Vec.Set(b, cur+newV-oldV)
+		g.setEntry(b, cur+newV-oldV, true)
 		return nil
 	case Min:
 		if newV <= cur {
-			g.Vec.Set(b, newV)
+			g.setEntry(b, newV, true)
 			return nil
 		}
 		if oldV > cur {
@@ -244,7 +213,7 @@ func (s *SMA) OnUpdate(h *storage.HeapFile, oldT, newT tuple.Tuple, rid storage.
 		return s.RecomputeBucket(h, b)
 	case Max:
 		if newV >= cur {
-			g.Vec.Set(b, newV)
+			g.setEntry(b, newV, true)
 			return nil
 		}
 		if oldV < cur {
@@ -268,20 +237,20 @@ func (s *SMA) OnDelete(h *storage.HeapFile, old tuple.Tuple, rid storage.RID) er
 		key = s.gx.Key(old)
 	}
 	g := s.groups[key]
-	if g == nil || !g.Present.Get(b) {
+	if g == nil || !g.present.Get(b) {
 		return s.RecomputeBucket(h, b)
 	}
 	var v float64
 	if s.Def.Expr != nil {
 		v = s.Def.Expr.Eval(old)
 	}
-	cur := g.Vec.Get(b)
+	cur := g.vec.Get(b)
 	switch s.Def.Agg {
 	case Count:
 		if cur <= 1 {
 			return s.RecomputeBucket(h, b) // group may be empty now
 		}
-		g.Vec.Set(b, cur-1)
+		g.setEntry(b, cur-1, true)
 		return nil
 	case Sum:
 		// A sum SMA alone cannot tell whether the group just became empty
@@ -303,8 +272,9 @@ func (s *SMA) OnDelete(h *storage.HeapFile, old tuple.Tuple, rid storage.RID) er
 	return nil
 }
 
-// Verify checks the SMA against the heap file, returning the first
-// discrepancy found. It is used by tests and by `smactl verify`.
+// Verify checks the SMA against the heap file, entry by entry and run
+// summary by run summary, returning the first discrepancy found. It is
+// used by tests and by `smactl verify`.
 func (s *SMA) Verify(h *storage.HeapFile) error {
 	fresh, err := Build(h, s.Def)
 	if err != nil {
@@ -321,7 +291,7 @@ func (s *SMA) Verify(h *storage.HeapFile) error {
 			continue
 		}
 		for b := 0; b < s.NumBuckets; b++ {
-			if g.Present.Get(b) {
+			if g.present.Get(b) {
 				return errf("sma %s: group %q present in bucket %d but absent from the heap",
 					s.Def.Name, string(key), b)
 			}
@@ -341,6 +311,13 @@ func (s *SMA) Verify(h *storage.HeapFile) error {
 			if fp && !almostEqual(fv, v) {
 				return errf("sma %s group %q bucket %d: value %g, want %g", s.Def.Name, string(key), b, v, fv)
 			}
+		}
+	}
+	// The run summaries must match their entries, or grading and
+	// SMA_GAggr would decide whole runs from stale bounds.
+	for _, key := range s.order {
+		if err := s.groups[key].checkRuns(); err != nil {
+			return errf("sma %s group %q: %v", s.Def.Name, string(key), err)
 		}
 	}
 	return nil

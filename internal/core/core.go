@@ -14,6 +14,7 @@
 //   - the §3.1 bucket-grading rules (qualifying / disqualifying /
 //     ambivalent) including the AND/OR partition algebra, grading through
 //     grouped min/max SMAs, and grading through count-group-by-A SMAs
-//   - hierarchical (two-level) SMAs (§4)
+//   - hierarchical SMAs (§4): a run summary per RunLen buckets of every
+//     SMA-file, from which grading and aggregation decide whole runs
 //   - semi-join SMAs (§4)
 package core

@@ -45,7 +45,7 @@ func (s *SMA) Save(dir string) error {
 	}
 	for i, key := range s.order {
 		g := s.groups[key]
-		buf := make([]byte, 0, 24+len(key)+int(g.Vec.SizeBytes())+8*((s.NumBuckets+63)/64))
+		buf := make([]byte, 0, 24+len(key)+int(g.vec.SizeBytes())+8*((s.NumBuckets+63)/64))
 		buf = append(buf, smafMagic[:]...)
 		buf = binary.LittleEndian.AppendUint16(buf, smafVersion)
 		buf = append(buf, byte(s.elem), 0)
@@ -53,8 +53,8 @@ func (s *SMA) Save(dir string) error {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(s.NumBuckets))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
 		buf = append(buf, key...)
-		buf = g.Vec.encode(buf)
-		buf = g.Present.encode(buf)
+		buf = g.vec.encode(buf)
+		buf = g.present.encode(buf)
 		path := filepath.Join(dir, FileName(s.Def.Name, i))
 		if err := os.WriteFile(path, buf, 0o644); err != nil {
 			return fmt.Errorf("core: save sma %s: %w", s.Def.Name, err)
@@ -74,7 +74,8 @@ func (s *SMA) Save(dir string) error {
 }
 
 // Load reads a saved SMA back from dir. The definition and schema come from
-// the catalog; Load restores the vectors and presence bitmaps.
+// the catalog; Load restores the vectors and presence bitmaps and rebuilds
+// the in-memory run summaries from them.
 func Load(dir string, def Def, schema *tuple.Schema) (*SMA, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, strings.ToLower(def.Name)+".g*.smaf"))
 	if err != nil {
@@ -131,9 +132,7 @@ func Load(dir string, def Def, schema *tuple.Schema) (*SMA, error) {
 		if _, dup := s.groups[key]; dup {
 			return nil, fmt.Errorf("core: %s: duplicate group key", p)
 		}
-		g := s.addGroup(key, vals, 0)
-		g.Vec = vec
-		g.Present = bm
+		s.addGroup(key, vals, 0).load(vec, bm)
 	}
 	return s, nil
 }

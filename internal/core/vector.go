@@ -188,6 +188,14 @@ func (b *Bitmap) Get(i int) bool {
 	return b.words[i/64]&(1<<(i%64)) != 0
 }
 
+// word returns bits [64i, 64i+64) as one word (zero past the end).
+func (b *Bitmap) word(i int) uint64 {
+	if i < 0 || i >= len(b.words) {
+		return 0
+	}
+	return b.words[i]
+}
+
 // Set sets bit i to v; i must be < Len.
 func (b *Bitmap) Set(i int, v bool) {
 	if i < 0 || i >= b.n {
@@ -229,6 +237,11 @@ func decodeBitmap(n int, src []byte) (*Bitmap, int, error) {
 	b := &Bitmap{words: make([]uint64, words), n: n}
 	for i := 0; i < words; i++ {
 		b.words[i] = binary.LittleEndian.Uint64(src[i*8:])
+	}
+	// Bits past n carry no bucket; clear them so whole-word reads (run
+	// presence) see exactly what Get sees.
+	if tail := n % 64; tail != 0 {
+		b.words[words-1] &= 1<<tail - 1
 	}
 	return b, need, nil
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"strings"
 	"time"
 
@@ -377,6 +378,13 @@ func (c *Cursor) finishObs(err error) {
 			em.AmbivalentShare.Observe(float64(a) / float64(graded))
 		}
 	}
+	// The log record is built only when it will be written, so a query
+	// at the default level pays for none of its formatting.
+	slow := o.Slow > 0 && dur >= o.Slow
+	lg := o.Logger()
+	if !slow && !lg.Enabled(context.Background(), slog.LevelDebug) {
+		return
+	}
 	attrs := []any{
 		"qid", c.qid, "strategy", strat, "dur", dur, "rows", c.rowsOut,
 		"buckets", fmt.Sprintf("%d/%d/%d", q, d, a),
@@ -384,12 +392,12 @@ func (c *Cursor) finishObs(err error) {
 	if err != nil {
 		attrs = append(attrs, "err", err)
 	}
-	if o.Slow > 0 && dur >= o.Slow {
+	if slow {
 		em.SlowQueries.Inc()
-		o.Logger().Warn("slow query", append(attrs, "sql", c.sql)...)
+		lg.Warn("slow query", append(attrs, "sql", c.sql)...)
 		return
 	}
-	o.Logger().Debug("query", attrs...)
+	lg.Debug("query", attrs...)
 }
 
 // Close releases the cursor's resources and the database read lock. Close

@@ -172,11 +172,13 @@ type DB struct {
 	lastScrub   *ScrubReport
 
 	// Per-SMA attribution cache for the stats collector, keyed by
-	// (table, predicate). The solo-grading sweep behind sma_stat_smas is
-	// O(buckets) per SMA, far too slow to repeat on every execution of a
-	// hot fingerprint; entries are cleared by every write statement and
-	// by SMA DDL, and cursors compute-and-store under db.mu's read lock,
-	// so a stale entry can never be observed.
+	// (table, predicate). The solo-grading sweep behind sma_stat_smas
+	// costs O(runs) per SMA plus the buckets of runs it cannot grade
+	// whole, a large share of a fast SMA-answered query and too much to
+	// repeat on every execution of a hot statement; entries are cleared
+	// by every write statement and by SMA DDL, and cursors
+	// compute-and-store under db.mu's read lock, so a stale entry can
+	// never be observed.
 	attrMu    sync.Mutex
 	attrCache map[string][]smaAttr
 
@@ -598,6 +600,27 @@ func (t *Table) SMAs() []*core.SMA {
 	out := make([]*core.SMA, len(names))
 	for i, n := range names {
 		out[i] = t.smas[n]
+	}
+	return out
+}
+
+// SMAInfo is one SMA's catalog entry, read consistently.
+type SMAInfo struct {
+	Def     core.Def
+	Files   int
+	Pages   int64
+	Buckets int
+}
+
+// SMAInfos snapshots the table's SMAs in name order under the read lock,
+// so a concurrent write cannot grow an SMA while it is read.
+func (t *Table) SMAInfos() []SMAInfo {
+	t.db.mu.RLock()
+	defer t.db.mu.RUnlock()
+	smas := t.SMAs()
+	out := make([]SMAInfo, len(smas))
+	for i, s := range smas {
+		out[i] = SMAInfo{Def: s.Def, Files: s.NumFiles(), Pages: s.PagesUsed(), Buckets: s.NumBuckets}
 	}
 	return out
 }

@@ -138,8 +138,9 @@ func (c *Cursor) recordQueryStats(st *stats.Collector, err error, strat string, 
 
 	// Per-SMA effectiveness: attribute to each consulted SMA the buckets
 	// it alone would disqualify. The counts come from the attribution
-	// cache — the solo-grading sweep behind them is O(buckets) per SMA,
-	// so hot fingerprints must not repeat it.
+	// cache — the solo-grading sweep behind them costs O(runs) per SMA
+	// plus the buckets of runs it cannot grade whole, so hot statements
+	// must not repeat it.
 	if plan.Query.Where == nil || len(plan.SelSMAs) == 0 {
 		return
 	}
@@ -235,13 +236,7 @@ func (db *DB) smaAttribution(key string, plan *planner.Plan) []smaAttr {
 	}
 	attrs = make([]smaAttr, 0, len(plan.SelSMAs))
 	for _, s := range plan.SelSMAs {
-		g := core.NewGrader(s)
-		var disq int64
-		for _, gr := range g.GradeAll(plan.Query.Where) {
-			if gr == core.Disqualifies {
-				disq++
-			}
-		}
+		disq := int64(core.NewGrader(s).Tally(plan.Query.Where).Disqualifying)
 		col := s.Def.ColumnOf()
 		if s.Def.Agg == core.Count && len(s.Def.GroupBy) == 1 {
 			col = strings.ToUpper(s.Def.GroupBy[0])

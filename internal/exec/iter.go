@@ -11,6 +11,7 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/expr"
+	"sma/internal/pred"
 	"sma/internal/tuple"
 )
 
@@ -22,6 +23,32 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
+}
+
+// gradeBuckets grades an operator's buckets in one pass over the SMAs:
+// position i is bucket buckets[i], or bucket i when buckets is nil.
+// Without a predicate every bucket qualifies.
+func gradeBuckets(g *core.Grader, p pred.Predicate, buckets []int, n int) []core.Grade {
+	out := make([]core.Grade, n)
+	if p == nil {
+		for i := range out {
+			out[i] = core.Qualifies
+		}
+		return out
+	}
+	all := g.GradeAll(p)
+	for i := range out {
+		b := i
+		if buckets != nil {
+			b = buckets[i]
+		}
+		if b < len(all) {
+			out[i] = all[b]
+		} else {
+			out[i] = g.Grade(b, p)
+		}
+	}
+	return out
 }
 
 // TupleIter produces storage tuples.

@@ -36,8 +36,9 @@ type SMAGAggr struct {
 	// contain a count(*) and if averages are demanded by the query, we add
 	// it").
 	CountSMA *core.SMA
-	// Ctx, when set, is checked once per bucket during init() so a
-	// cancelled query aborts the aggregation pass with the context's error.
+	// Ctx, when set, is checked once per run of buckets during init() (and
+	// per page inside ambivalent buckets) so a cancelled query aborts the
+	// aggregation pass with the context's error.
 	Ctx context.Context
 	// Buckets, when non-nil, restricts the operator to the given ascending
 	// bucket numbers (one partition of the parallel subsystem). Grades,
@@ -74,6 +75,7 @@ type projectedGroup struct {
 	gf   *core.GroupFile
 	key  core.GroupKey
 	vals []core.GroupVal
+	acc  *Partial // the query group's state, once it has one
 }
 
 // NewSMAGAggr constructs the operator; see the field docs for parameters.
@@ -102,8 +104,18 @@ func projectGroups(s *core.SMA, queryGroupBy []string) ([]projectedGroup, error)
 		}
 		pos[i] = found
 	}
-	var out []projectedGroup
+	same := len(pos) == len(s.Def.GroupBy)
+	for i, j := range pos {
+		same = same && i == j
+	}
+	out := make([]projectedGroup, 0, s.NumFiles())
 	err := s.Groups(func(gf *core.GroupFile) error {
+		if same {
+			// The SMA groups exactly as the query does: every SMA-file is
+			// its own query group, keyed as it already is.
+			out = append(out, projectedGroup{gf: gf, key: gf.Key, vals: gf.Vals})
+			return nil
+		}
 		vals := make([]core.GroupVal, len(pos))
 		for i, j := range pos {
 			vals[i] = gf.Vals[j]
@@ -177,40 +189,27 @@ func (g *SMAGAggr) Open() error {
 	if g.Buckets != nil {
 		nb = len(g.Buckets)
 	}
-	bucketNo := func(i int) int {
-		if g.Buckets != nil {
-			return g.Buckets[i]
-		}
-		return i
-	}
 
-	// Batched mode grades every bucket up front (reusing pre-computed
-	// grades when given), so the ambivalent page set — the only pages this
-	// operator ever touches — is known before the first access and can
-	// stream in behind an asynchronous prefetcher.
+	// Every bucket is graded up front (reusing pre-computed grades when
+	// given), so whole qualifying runs can be folded from the run
+	// summaries and, in batched mode, the ambivalent page set — the only
+	// pages this operator ever touches — is known before the first access
+	// and can stream in behind an asynchronous prefetcher.
+	grades := g.Grades
+	if grades == nil {
+		grades = gradeBuckets(g.Grader, g.Pred, g.Buckets, nb)
+	}
 	var folder *groupFolder
 	var batch *Batch
 	var pf *storage.Prefetcher
-	var grades []core.Grade
 	if g.Opts.Batching() {
-		grades = g.Grades
-		if grades == nil {
-			grades = make([]core.Grade, nb)
-			for i := range grades {
-				if g.Pred == nil {
-					grades[i] = core.Qualifies
-				} else {
-					grades[i] = g.Grader.Grade(bucketNo(i), g.Pred)
-				}
-			}
-		}
 		if w := g.Opts.EffectivePrefetchWindow(); w > 0 {
 			var spans []storage.PageSpan
 			for i, gr := range grades {
 				if gr != core.Ambivalent {
 					continue
 				}
-				first, last := g.H.BucketRange(bucketNo(i))
+				first, last := g.H.BucketRange(g.bucketAt(i))
 				spans = append(spans, storage.PageSpan{First: first, Last: last})
 			}
 			pf = g.H.Pool().StartPrefetch(spans, w)
@@ -224,21 +223,23 @@ func (g *SMAGAggr) Open() error {
 		defer putBatch(batch)
 	}
 
-	for i := 0; i < nb; i++ {
-		if err := ctxErr(g.Ctx); err != nil {
-			return err
+	runBuckets := g.runBuckets()
+	lastRun := -1
+	for i := 0; i < nb; {
+		b := g.bucketAt(i)
+		if r := b / core.RunLen; r != lastRun {
+			if err := ctxErr(g.Ctx); err != nil {
+				return err
+			}
+			lastRun = r
+			if k := qualifyingRun(g.Buckets, grades, i, b, runBuckets); k > 0 {
+				g.stats.Qualifying += k
+				g.advanceRunFromSMAs(r)
+				i += k
+				continue
+			}
 		}
-		b := bucketNo(i)
-		grade := core.Qualifies
-		switch {
-		case grades != nil:
-			grade = grades[i]
-		case g.Grades != nil:
-			grade = g.Grades[i]
-		case g.Pred != nil:
-			grade = g.Grader.Grade(b, g.Pred)
-		}
-		switch grade {
+		switch grades[i] {
 		case core.Disqualifies:
 			g.stats.Disqualifying++ // "do nothing"
 		case core.Qualifies:
@@ -254,12 +255,58 @@ func (g *SMAGAggr) Open() error {
 				return err
 			}
 		}
+		i++
 	}
 	if !g.KeepPartials {
 		g.out = FinishPartials(g.groups, g.Specs, len(g.GroupBy) == 0)
 	}
 	g.pos = 0
 	return nil
+}
+
+// bucketAt maps an operator position to its bucket number.
+func (g *SMAGAggr) bucketAt(i int) int {
+	if g.Buckets != nil {
+		return g.Buckets[i]
+	}
+	return i
+}
+
+// runBuckets returns the relation's bucket count when every aggregate
+// SMA covers exactly those buckets, so that run r's summaries cover
+// [r*RunLen, min((r+1)*RunLen, runBuckets)), or 0 when one does not and
+// runs must not be folded whole.
+func (g *SMAGAggr) runBuckets() int {
+	n := g.H.NumBuckets()
+	for _, s := range g.AggSMAs {
+		if s.NumBuckets != n {
+			return 0
+		}
+	}
+	if g.CountSMA != nil && g.CountSMA.NumBuckets != n {
+		return 0
+	}
+	return n
+}
+
+// qualifyingRun reports how many positions from i on form the whole run
+// starting at bucket b — every bucket of the run present in the operator's
+// bucket set, in order, and graded Qualifies — or 0 if they do not, in
+// which case the run is folded bucket by bucket.
+func qualifyingRun(buckets []int, grades []core.Grade, i, b, runBuckets int) int {
+	if b%core.RunLen != 0 {
+		return 0
+	}
+	k := min(core.RunLen, runBuckets-b)
+	if k <= 0 || i+k > len(grades) {
+		return 0
+	}
+	for j := 0; j < k; j++ {
+		if grades[i+j] != core.Qualifies || (buckets != nil && buckets[i+j] != b+j) {
+			return 0
+		}
+	}
+	return k
 }
 
 // Partials returns the merge-ready group states computed by Open. The map
@@ -276,19 +323,50 @@ func (g *SMAGAggr) acc(key core.GroupKey, vals []core.GroupVal) *Partial {
 	return a
 }
 
+// partial returns the query group an SMA-file rolls up into, resolved
+// once per Open on first contribution (a group with none gets no row).
+func (g *SMAGAggr) partial(pg *projectedGroup) *Partial {
+	if pg.acc == nil {
+		pg.acc = g.acc(pg.key, pg.vals)
+	}
+	return pg.acc
+}
+
 // advanceFromSMAs advances the result aggregates of a qualifying bucket
 // using only SMA entries — no page access.
 func (g *SMAGAggr) advanceFromSMAs(b int) {
 	for i := range g.Specs {
-		for _, pg := range g.projected[i] {
+		for j := range g.projected[i] {
+			pg := &g.projected[i][j]
 			if v, ok := pg.gf.ValueAt(b); ok {
-				g.acc(pg.key, pg.vals).addSMA(g.Specs, i, v)
+				g.partial(pg).addSMA(g.Specs, i, v)
 			}
 		}
 	}
-	for _, pg := range g.countProj {
+	for j := range g.countProj {
+		pg := &g.countProj[j]
 		if v, ok := pg.gf.ValueAt(b); ok {
-			g.acc(pg.key, pg.vals).Count += v
+			g.partial(pg).Count += v
+		}
+	}
+}
+
+// advanceRunFromSMAs advances the result aggregates by a whole qualifying
+// run r with one fold per SMA-file from its run summary: the run's min,
+// max or sum is exactly what folding its buckets one by one accumulates.
+func (g *SMAGAggr) advanceRunFromSMAs(r int) {
+	for i := range g.Specs {
+		for j := range g.projected[i] {
+			pg := &g.projected[i][j]
+			if v, present := pg.gf.Run(r); present != 0 {
+				g.partial(pg).addSMA(g.Specs, i, v)
+			}
+		}
+	}
+	for j := range g.countProj {
+		pg := &g.countProj[j]
+		if v, present := pg.gf.Run(r); present != 0 {
+			g.partial(pg).Count += v
 		}
 	}
 }

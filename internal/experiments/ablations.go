@@ -48,7 +48,7 @@ func RunE8(base Config, deltaDays int, bucketSizes []int) (E8Result, error) {
 			return r, err
 		}
 		row := E8Row{BucketPages: bp, SMAPages: e.SMAPages()}
-		counts := core.CountGrades(e.Grader().GradeAll(Q1Pred(deltaDays)))
+		counts := e.Grader().Tally(Q1Pred(deltaDays))
 		row.AmbivalentPct = 100 * counts.AmbivalentFrac()
 		row.ModelCost = float64(row.SMAPages) + 4*float64(counts.Ambivalent*bp)
 		// Warm run: SMA vectors hot, ambivalent buckets from disk.
@@ -83,14 +83,16 @@ func (r E8Result) Render() string {
 
 // --- E9: hierarchical SMAs (§4) ----------------------------------------------
 
-// E9Row is one fanout of the hierarchical ablation.
+// E9Row is one physical order of the hierarchical ablation: how many runs
+// of core.RunLen buckets the run summaries (the second level) decide, and
+// how many level-1 entries the grading pass still reads.
 type E9Row struct {
-	Fanout        int
+	Order         string
+	L1Total       int // buckets, one level-1 entry each
+	Level2Entries int // run summaries per SMA-file
 	RunsDecided   int
 	L1Read        int
-	L1Total       int
 	SavedPct      float64
-	Level2Entries int
 }
 
 // E9Result is the hierarchical-SMA ablation.
@@ -99,47 +101,43 @@ type E9Result struct {
 	Rows []E9Row
 }
 
-// RunE9 builds two-level SMAs at several fanouts over diagonally clustered
-// data and measures how much level-1 I/O the second level avoids.
-func RunE9(base Config, deltaDays int, fanouts []int) (E9Result, error) {
+// RunE9 grades Query 1's selection through the run summaries of the
+// shipdate min/max SMAs on sorted and on diagonally clustered LINEITEM,
+// and measures how much level-1 work the second level avoids. Every
+// bucket's grade must equal its flat, bucket-by-bucket grade.
+func RunE9(base Config, deltaDays int) (E9Result, error) {
 	base = base.withDefaults()
-	cfg := base
-	cfg.Order = tpcd.OrderDiagonal
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return E9Result{}, err
-	}
-	defer e.Close()
 	r := E9Result{SF: base.SF}
-	atom := Q1Pred(deltaDays).(*pred.Atom)
-	flat := e.Grader().GradeAll(atom)
-	for _, f := range fanouts {
-		tl, err := core.NewTwoLevel(e.SMAs["min"], e.SMAs["max"], f)
+	atom := Q1Pred(deltaDays)
+	for _, order := range []tpcd.Order{tpcd.OrderSorted, tpcd.OrderDiagonal} {
+		cfg := base
+		cfg.Order = order
+		e, err := NewEnv(cfg)
 		if err != nil {
 			return r, err
 		}
-		grades := make([]core.Grade, tl.NumBuckets())
-		stats, err := tl.GradeAtom(atom, grades)
-		if err != nil {
-			return r, err
-		}
-		for b := range grades {
-			if grades[b] != flat[b] {
-				return r, fmt.Errorf("E9: hierarchical grade of bucket %d (%s) differs from flat (%s)",
-					b, grades[b], flat[b])
+		g := e.Grader()
+		grades, st := g.GradeRuns(atom)
+		for b, got := range grades {
+			if flat := g.Grade(b, atom); got != flat {
+				e.Close()
+				return r, fmt.Errorf("E9: %s bucket %d: hierarchical grade %s differs from flat %s", order, b, got, flat)
 			}
 		}
 		row := E9Row{
-			Fanout:        f,
-			RunsDecided:   stats.RunsDecided,
-			L1Read:        stats.L1EntriesRead,
-			L1Total:       stats.L1EntriesTotal,
-			Level2Entries: tl.NumRuns(),
+			Order:         order.String(),
+			L1Total:       len(grades),
+			Level2Entries: st.Runs,
+			RunsDecided:   st.RunsDecided,
+			L1Read:        st.BucketsRead,
 		}
-		if stats.L1EntriesTotal > 0 {
-			row.SavedPct = 100 * (1 - float64(stats.L1EntriesRead)/float64(stats.L1EntriesTotal))
+		if row.L1Total > 0 {
+			row.SavedPct = 100 * (1 - float64(row.L1Read)/float64(row.L1Total))
 		}
 		r.Rows = append(r.Rows, row)
+		if err := e.Close(); err != nil {
+			return r, err
+		}
 	}
 	return r, nil
 }
@@ -147,11 +145,11 @@ func RunE9(base Config, deltaDays int, fanouts []int) (E9Result, error) {
 // Render prints the ablation.
 func (r E9Result) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "E9 — hierarchical (two-level) SMAs (§4), SF %.3g\n", r.SF)
-	fmt.Fprintf(&b, "  %8s %12s %12s %12s %12s\n", "fanout", "L2 entries", "runs decided", "L1 read", "L1 saved")
+	fmt.Fprintf(&b, "E9 — hierarchical SMAs (§4): run summaries of %d buckets, SF %.3g\n", core.RunLen, r.SF)
+	fmt.Fprintf(&b, "  %-9s %10s %11s %13s %9s %9s\n", "order", "L1 entries", "L2 entries", "runs decided", "L1 read", "L1 saved")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %8d %12d %12d %12d %11.1f%%\n",
-			row.Fanout, row.Level2Entries, row.RunsDecided, row.L1Read, row.SavedPct)
+		fmt.Fprintf(&b, "  %-9s %10d %11d %13d %9d %8.1f%%\n",
+			row.Order, row.L1Total, row.Level2Entries, row.RunsDecided, row.L1Read, row.SavedPct)
 	}
 	return b.String()
 }

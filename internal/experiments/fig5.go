@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"sma/internal/core"
 	"sma/internal/storage"
 	"sma/internal/tpcd"
 )
@@ -104,7 +103,7 @@ func measureFig5Point(e *Env, deltaDays int, f float64) (Fig5Point, error) {
 	pt.WithSMA = time.Since(start)
 	pt.SMAPage, _ = e.Disk().Stats()
 
-	counts := core.CountGrades(e.Grader().GradeAll(Q1Pred(deltaDays)))
+	counts := e.Grader().Tally(Q1Pred(deltaDays))
 	_ = stats
 	pt.ModelNoSMA = float64(pt.NoSMAPage)
 	pt.ModelSMA = float64(e.SMAPages()) + 4*float64(counts.Ambivalent*e.Cfg.BucketPages)

@@ -130,8 +130,7 @@ func RunE7(base Config) (E7Result, error) {
 		if err != nil {
 			return r, err
 		}
-		grades := e.Grader().GradeAll(Q1Pred(90))
-		counts := core.CountGrades(grades)
+		counts := e.Grader().Tally(Q1Pred(90))
 		span, err := meanBucketSpan(e)
 		if err != nil {
 			e.Close()

@@ -358,13 +358,13 @@ func (pl *Planner) PlanMem(q *parser.Query, rel *exec.MemRelation) (*Plan, error
 
 // gradeTraced runs the grading pass under a "grade" child span carrying
 // the outcome counts the cost model decides on.
-func gradeTraced(grader *core.Grader, w pred.Predicate, sp *obs.Span) []core.Grade {
+func gradeTraced(grader *core.Grader, w pred.Predicate, sp *obs.Span) ([]core.Grade, core.GradeCounts) {
 	gs := sp.Child("grade")
-	vec := grader.GradeAll(w)
-	c := core.CountGrades(vec)
+	vec, st := grader.GradeRuns(w)
+	c := st.Grades
 	gs.AddGrades(int64(c.Qualifying), int64(c.Disqualifying), int64(c.Ambivalent))
 	gs.End()
-	return vec
+	return vec, c
 }
 
 // planQuery picks the strategy; PlanQuery adds the degree of parallelism.
@@ -395,8 +395,7 @@ func (pl *Planner) planQuery(q *parser.Query, heap *storage.HeapFile, smas []*co
 	// Grade all buckets (an in-memory pass over the SMA vectors); the
 	// vector is kept for the parallel executor.
 	if q.Where != nil {
-		plan.gradeVec = gradeTraced(grader, q.Where, sp)
-		plan.Grades = core.CountGrades(plan.gradeVec)
+		plan.gradeVec, plan.Grades = gradeTraced(grader, q.Where, sp)
 	} else {
 		plan.Grades = core.GradeCounts{Qualifying: heap.NumBuckets()}
 	}
@@ -503,8 +502,7 @@ func (pl *Planner) planProjection(q *parser.Query, heap *storage.HeapFile, smas 
 		return plan, nil
 	}
 	if q.Where != nil {
-		plan.gradeVec = gradeTraced(grader, q.Where, sp)
-		plan.Grades = core.CountGrades(plan.gradeVec)
+		plan.gradeVec, plan.Grades = gradeTraced(grader, q.Where, sp)
 	} else {
 		plan.Grades = core.GradeCounts{Qualifying: heap.NumBuckets()}
 	}

@@ -185,3 +185,51 @@ func TestPrefetchWindowClamp(t *testing.T) {
 		t.Fatal("nil prefetcher misbehaves")
 	}
 }
+
+// TestPrefetchReaderPanicContained injects a panic into every disk read.
+// The prefetch readers must survive it and leave no claimed page and no
+// wedged frame behind: the consumer's demand fetch repeats the read on its
+// own goroutine, where the panic surfaces to the caller.
+func TestPrefetchReaderPanicContained(t *testing.T) {
+	const numPages = 8
+	dm := prefetchDisk(t, numPages)
+	bp := NewBufferPool(dm, 16)
+	dm.SetFault(func(op string, _ PageID) error {
+		if op == "read" {
+			panic("injected read panic")
+		}
+		return nil
+	})
+	p := bp.StartPrefetch([]PageSpan{{First: 0, Last: numPages - 1}}, 4)
+	if p == nil {
+		t.Fatal("StartPrefetch returned nil for a valid window")
+	}
+	time.Sleep(10 * time.Millisecond)
+	if p.Claim(0) {
+		t.Fatal("a panicked prefetch read was reported as a hit")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("demand fetch did not repeat the panicking read")
+			}
+		}()
+		_, _ = bp.FetchPage(0)
+	}()
+	p.Close()
+	if p.Issued() != 0 {
+		t.Fatalf("issued = %d, want 0", p.Issued())
+	}
+
+	dm.SetFault(nil)
+	fr, err := bp.FetchPage(0)
+	if err != nil {
+		t.Fatalf("fetch after the fault cleared: %v", err)
+	}
+	if fr.Data()[0] != 0 {
+		t.Fatal("page 0 has wrong contents")
+	}
+	if err := bp.UnpinPage(0); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -509,3 +509,46 @@ func TestQueryBatchSizeOption(t *testing.T) {
 		t.Fatalf("batch=7 differs:\n%s\nvs\n%s", got, base)
 	}
 }
+
+// TestCatalogSnapshotDuringInserts reads the catalog while inserts open
+// new buckets and new groups of a grouped SMA. Under -race it checks that
+// Tables reads every SMA under the database's read lock.
+func TestCatalogSnapshotDuringInserts(t *testing.T) {
+	db, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for _, sql := range []string{
+		"create table EV (K char(3), V float64)",
+		"define sma cnt select count(*) from EV group by K",
+	} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 200; i++ {
+			if _, err := db.Exec(fmt.Sprintf("insert into EV values ('%03d', %d)", i, i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := db.Tables()[0].SMAs[0].Files; got != 200 {
+				t.Fatalf("count SMA has %d files, want 200", got)
+			}
+			return
+		default:
+			db.Tables()
+		}
+	}
+}

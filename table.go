@@ -140,12 +140,12 @@ type SMAInfo struct {
 
 // SMAs lists the table's SMAs in name order.
 func (t *Table) SMAs() []SMAInfo {
-	smas := t.t.SMAs()
+	smas := t.t.SMAInfos()
 	out := make([]SMAInfo, len(smas))
 	for i, s := range smas {
 		out[i] = SMAInfo{
 			Name: s.Def.Name, SQL: s.Def.String(),
-			Files: s.NumFiles(), Pages: s.PagesUsed(), Buckets: s.NumBuckets,
+			Files: s.Files, Pages: s.Pages, Buckets: s.Buckets,
 		}
 	}
 	return out
