@@ -11,8 +11,8 @@
 //
 // Each experiment prints the measured rows next to the paper's published
 // numbers; EXPERIMENTS.md records a full paper-vs-measured comparison.
-// The pr4 experiment measures the vectorized-batch + prefetch read path
-// against the legacy row path and records the trajectory as JSON.
+// The pr4 experiment measures the batched + prefetch read path across the
+// three plan shapes and records the trajectory as JSON.
 package main
 
 import (

@@ -1,17 +1,14 @@
 package main
 
-// The pr4 experiment is the before/after measurement of the vectorized
-// batch execution + SMA-guided asynchronous prefetch work: it runs the
-// TPC-D Query-1 benchmarks across all three plan shapes (full scan,
-// SMA_GAggr, and SMA_Scan at a Fig.-5-style partial-ambivalence
-// selectivity) in both execution modes and writes a JSON trajectory file
-// (BENCH_pr4.json) that future PRs can regress against.
+// The pr4 experiment measures the batched engine with SMA-guided
+// asynchronous prefetch: it runs the TPC-D Query-1 benchmarks across all
+// three plan shapes (full scan, SMA_GAggr, and SMA_Scan at a
+// Fig.-5-style partial-ambivalence selectivity) and writes a JSON
+// trajectory file that later runs can regress against.
 //
-// "row" is the legacy tuple-at-a-time engine without readahead; "batch" is
-// the batched engine with prefetch. Warm scenarios measure pure CPU; cold
-// scenarios drop the buffer pool each run and simulate a 1ms-page disk
-// (the time.Sleep regime, so prefetch genuinely overlaps I/O even on one
-// core).
+// Warm scenarios measure pure CPU; cold scenarios drop the buffer pool
+// each run and simulate a 1ms-page disk (the time.Sleep regime, so
+// prefetch genuinely overlaps I/O even on one core).
 
 import (
 	"context"
@@ -27,10 +24,9 @@ import (
 	"sma/internal/tuple"
 )
 
-// pr4Result is one scenario × mode measurement.
+// pr4Result is one scenario's measurement.
 type pr4Result struct {
 	Scenario     string  `json:"scenario"`
-	Mode         string  `json:"mode"`
 	Strategy     string  `json:"strategy"`
 	NsPerOp      int64   `json:"ns_per_op"`
 	PagesRead    int     `json:"pages_read"`
@@ -43,25 +39,10 @@ type pr4Result struct {
 
 // pr4File is the on-disk trajectory format.
 type pr4File struct {
-	PR                int                `json:"pr"`
-	SF                float64            `json:"sf"`
-	ColdReadLatencyMs float64            `json:"cold_read_latency_ms"`
-	Results           []pr4Result        `json:"results"`
-	Speedups          map[string]float64 `json:"speedups_batch_over_row"`
-}
-
-// pr4Modes maps mode names onto engine options.
-func pr4Modes(base engine.Options) []struct {
-	name string
-	opts engine.Options
-} {
-	row := base
-	row.BatchSize = -1
-	row.PrefetchWindow = -1
-	return []struct {
-		name string
-		opts engine.Options
-	}{{"row", row}, {"batch", base}}
+	PR                int         `json:"pr"`
+	SF                float64     `json:"sf"`
+	ColdReadLatencyMs float64     `json:"cold_read_latency_ms"`
+	Results           []pr4Result `json:"results"`
 }
 
 // pr4Queries are the measured statements per scenario; delta mirrors the
@@ -101,8 +82,8 @@ func pr4Queries(delta int) map[string]string {
 	}
 }
 
-// runPR4 builds the dataset, measures every scenario in both modes, prints
-// a table, and writes the JSON trajectory file.
+// runPR4 builds the dataset, measures every scenario, prints a table, and
+// writes the JSON trajectory file.
 func runPR4(sf float64, seed int64, delta int, out string) error {
 	dir, err := os.MkdirTemp("", "sma-pr4-*")
 	if err != nil {
@@ -111,15 +92,14 @@ func runPR4(sf float64, seed int64, delta int, out string) error {
 	defer os.RemoveAll(dir)
 
 	// Load LINEITEM once (shipdate-sorted, the paper's layout) and define
-	// the eight Query-1 SMAs; both engines reopen the same directory.
+	// the eight Query-1 SMAs; every scenario reopens the same directory.
 	if err := pr4Load(dir, sf, seed); err != nil {
 		return err
 	}
 
 	const coldLatency = time.Millisecond
 	queries := pr4Queries(delta)
-	file := pr4File{PR: 4, SF: sf, ColdReadLatencyMs: coldLatency.Seconds() * 1e3,
-		Speedups: map[string]float64{}}
+	file := pr4File{PR: 4, SF: sf, ColdReadLatencyMs: coldLatency.Seconds() * 1e3}
 
 	scenarios := []struct {
 		name  string
@@ -131,32 +111,24 @@ func runPR4(sf float64, seed int64, delta int, out string) error {
 		{"q1_sma_cold_disk_dop1", queries["q1_sma"], true},
 		{"q1_smascan_cold_disk_dop1", queries["q1_smascan"], true},
 	}
-	rowNs := map[string]int64{}
 	for _, sc := range scenarios {
-		for _, mode := range pr4Modes(engine.Options{}) {
-			opts := mode.opts
-			if sc.cold {
-				opts.ReadLatency = coldLatency
-			} else {
-				// A warm run must genuinely fit in the pool, or syscall
-				// re-reads dilute the CPU-side comparison.
-				opts.PoolPages = 16384
-			}
-			res, err := pr4Measure(dir, opts, sc.query, sc.cold)
-			if err != nil {
-				return fmt.Errorf("pr4 %s/%s: %w", sc.name, mode.name, err)
-			}
-			res.Scenario, res.Mode = sc.name, mode.name
-			file.Results = append(file.Results, res)
-			if mode.name == "row" {
-				rowNs[sc.name] = res.NsPerOp
-			} else if base := rowNs[sc.name]; base > 0 && res.NsPerOp > 0 {
-				file.Speedups[sc.name] = float64(base) / float64(res.NsPerOp)
-			}
-			fmt.Printf("%-28s %-6s %-14s %12.3fms  pages=%-5d prefetched=%-5d hits=%-5d\n",
-				sc.name, mode.name, res.Strategy,
-				float64(res.NsPerOp)/1e6, res.PagesRead, res.Prefetched, res.PrefetchHits)
+		var opts engine.Options
+		if sc.cold {
+			opts.ReadLatency = coldLatency
+		} else {
+			// A warm run must genuinely fit in the pool, or syscall
+			// re-reads dilute the CPU-side measurement.
+			opts.PoolPages = 16384
 		}
+		res, err := pr4Measure(dir, opts, sc.query, sc.cold)
+		if err != nil {
+			return fmt.Errorf("pr4 %s: %w", sc.name, err)
+		}
+		res.Scenario = sc.name
+		file.Results = append(file.Results, res)
+		fmt.Printf("%-28s %-14s %12.3fms  pages=%-5d prefetched=%-5d hits=%-5d\n",
+			sc.name, res.Strategy,
+			float64(res.NsPerOp)/1e6, res.PagesRead, res.Prefetched, res.PrefetchHits)
 	}
 
 	if out != "" {

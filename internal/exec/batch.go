@@ -18,21 +18,17 @@ const DefaultBatchSize = 1024
 // pages the asynchronous prefetcher keeps in flight ahead of the cursor.
 const DefaultPrefetchWindow = 16
 
-// ExecOptions selects the physical execution mode of the hot read path.
-// The zero value means batch execution with default batch size and
-// prefetch window; the engine maps its user-facing options onto it.
+// ExecOptions tunes the batched read path. The zero value means the
+// default batch size and prefetch window; the engine maps its user-facing
+// options onto it.
 type ExecOptions struct {
-	// RowMode falls back to the legacy tuple-at-a-time iterators.
-	RowMode bool
-	// BatchSize is the tuples-per-batch target; 0 means DefaultBatchSize.
+	// BatchSize is the tuples-per-batch target; n <= 0 means
+	// DefaultBatchSize.
 	BatchSize int
 	// PrefetchWindow is the page readahead per scan; 0 means
 	// DefaultPrefetchWindow, negative disables prefetch.
 	PrefetchWindow int
 }
-
-// Batching reports whether plans should use the batched operators.
-func (o ExecOptions) Batching() bool { return !o.RowMode }
 
 // EffectiveBatchSize resolves the tuples-per-batch target.
 func (o ExecOptions) EffectiveBatchSize() int {
@@ -141,7 +137,7 @@ func batchCap(opts ExecOptions, perPage int) int {
 	return n
 }
 
-// BatchIter produces tuple batches; the batched counterpart of TupleIter.
+// BatchIter produces tuple batches; it is the protocol of every scan.
 type BatchIter interface {
 	// Open initializes the iterator; it must be called before NextBatch.
 	Open() error
@@ -153,9 +149,9 @@ type BatchIter interface {
 	Close() error
 }
 
-// BatchToTuples adapts a batch iterator to the legacy TupleIter contract,
-// so row-at-a-time consumers (projection streaming, tests) can sit on top
-// of a batched scan unchanged.
+// BatchToTuples adapts a batch iterator to the TupleIter contract. It is
+// the only source of tuples: projection streaming (with SortTuples and
+// LimitTuples stacked on top) and tests sit on a batched scan through it.
 type BatchToTuples struct {
 	Input BatchIter
 
@@ -329,8 +325,8 @@ func (f *groupFolder) fold(b *Batch) {
 		}
 	}
 	// Phase 2: one tight loop per aggregate spec. Per-group accumulation
-	// order matches the row path (tuples in selection order), so results
-	// are bit-identical.
+	// follows the selection order, so results do not depend on the batch
+	// size.
 	for i := range f.specs {
 		sp := &f.specs[i]
 		switch sp.Func {

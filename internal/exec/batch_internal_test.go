@@ -41,8 +41,32 @@ func fillTestBatch(t *testing.T, n, k int) (*Batch, *tuple.Schema) {
 	return b, schema
 }
 
+// refAddTuple is the reference accumulation: one tuple folded into one
+// group's state, spec by spec.
+func refAddTuple(g *Partial, specs []AggSpec, t tuple.Tuple) {
+	g.Count++
+	for i := range specs {
+		sp := &specs[i]
+		switch sp.Func {
+		case AggCount:
+			g.Aggs[i]++
+		case AggSum, AggAvg:
+			g.Aggs[i] += sp.Arg.Eval(t)
+		case AggMin:
+			if v := sp.Arg.Eval(t); !g.Seen[i] || v < g.Aggs[i] {
+				g.Aggs[i] = v
+			}
+		case AggMax:
+			if v := sp.Arg.Eval(t); !g.Seen[i] || v > g.Aggs[i] {
+				g.Aggs[i] = v
+			}
+		}
+		g.Seen[i] = true
+	}
+}
+
 // TestGroupFolderMatchesRowAccumulation cross-checks the alloc-free fold
-// against the row-path accumulator on the same records.
+// against a tuple-at-a-time reference accumulation on the same records.
 func TestGroupFolderMatchesRowAccumulation(t *testing.T) {
 	b, schema := fillTestBatch(t, 500, 3)
 	defer putBatch(b)
@@ -74,7 +98,7 @@ func TestGroupFolderMatchesRowAccumulation(t *testing.T) {
 			acc = newGroupAcc(vals, len(specs))
 			want[key] = acc
 		}
-		acc.addTuple(specs, tp)
+		refAddTuple(acc, specs, tp)
 	}
 	if len(folder.groups) != len(want) {
 		t.Fatalf("%d groups, want %d", len(folder.groups), len(want))

@@ -3,6 +3,7 @@ package exec_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -62,10 +63,55 @@ func tuplesEqual(a, b []tuple.Tuple) bool {
 	return true
 }
 
-// TestBatchTableScanEqualsRowScan: for random predicates, orders, bucket
-// sizes and deleted records, the batched scan yields exactly the row
-// scan's tuple sequence.
-func TestBatchTableScanEqualsRowScan(t *testing.T) {
+// batchSizes are the configurations the invariance tests compare: one
+// page per batch (the size is raised to a full page), a size that splits
+// pages and buckets, and the default.
+var batchSizes = []exec.ExecOptions{{BatchSize: 1, PrefetchWindow: 4}, {BatchSize: 96, PrefetchWindow: 4}, {}}
+
+// heapTuples is the reference tuple sequence: the heap's own record
+// callback in physical order, filtered by p when it is non-nil.
+func heapTuples(t *testing.T, h *storage.HeapFile, p pred.Predicate) []tuple.Tuple {
+	t.Helper()
+	if p != nil {
+		if err := p.Bind(h.Schema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out []tuple.Tuple
+	if err := h.Scan(func(tp tuple.Tuple, _ storage.RID) error {
+		if p == nil || p.Eval(tp) {
+			out = append(out, tp.Copy())
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// rowsIdentical reports where two aggregation results differ; equal
+// accumulation order makes them bit-identical.
+func rowsIdentical(got, want []exec.Row) (string, bool) {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d groups vs %d", len(got), len(want)), false
+	}
+	for i := range want {
+		if got[i].Key != want[i].Key {
+			return fmt.Sprintf("key %q vs %q", got[i].Key, want[i].Key), false
+		}
+		for j := range want[i].Aggs {
+			if got[i].Aggs[j] != want[i].Aggs[j] {
+				return fmt.Sprintf("agg[%d][%d] %v vs %v", i, j, got[i].Aggs[j], want[i].Aggs[j]), false
+			}
+		}
+	}
+	return "", true
+}
+
+// TestBatchTableScanBatchSizeInvariant: for random predicates, orders,
+// bucket sizes and deleted records, the table scan yields the heap's
+// filtered tuple sequence at every batch size.
+func TestBatchTableScanBatchSizeInvariant(t *testing.T) {
 	orders := []tpcd.Order{tpcd.OrderSorted, tpcd.OrderSpec, tpcd.OrderShuffled}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -74,14 +120,13 @@ func TestBatchTableScanEqualsRowScan(t *testing.T) {
 			deleteEveryNth(t, h, 2+rng.Intn(9))
 		}
 		p := randPred(rng, 2)
-		want, err := exec.CollectTuples(exec.NewTableScan(h, clonePred(p)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := collectBatched(t, exec.NewBatchTableScan(h, p, batchOpts))
-		if !tuplesEqual(got, want) {
-			t.Logf("seed %d: %d batched tuples vs %d (pred %s)", seed, len(got), len(want), p)
-			return false
+		want := heapTuples(t, h, clonePred(p))
+		for _, opts := range batchSizes {
+			got := collectBatched(t, exec.NewBatchTableScan(h, clonePred(p), opts))
+			if !tuplesEqual(got, want) {
+				t.Logf("seed %d, batch %d: %d tuples vs %d (pred %s)", seed, opts.BatchSize, len(got), len(want), p)
+				return false
+			}
 		}
 		return true
 	}
@@ -90,9 +135,10 @@ func TestBatchTableScanEqualsRowScan(t *testing.T) {
 	}
 }
 
-// TestBatchSMAScanEqualsRowScan: the batched SMA_Scan returns exactly the
-// row SMA_Scan's tuples and classifies buckets identically.
-func TestBatchSMAScanEqualsRowScan(t *testing.T) {
+// TestBatchSMAScanBatchSizeInvariant: SMA_Scan returns the filtered
+// scan's tuples and classifies buckets and reads pages identically at
+// every batch size.
+func TestBatchSMAScanBatchSizeInvariant(t *testing.T) {
 	orders := []tpcd.Order{tpcd.OrderSorted, tpcd.OrderDiagonal, tpcd.OrderShuffled}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -101,22 +147,25 @@ func TestBatchSMAScanEqualsRowScan(t *testing.T) {
 		grader := core.NewGrader(smas["min"], smas["max"])
 		p := randPred(rng, 2)
 
-		rowScan := exec.NewSMAScan(h, clonePred(p), grader)
-		want, err := exec.CollectTuples(rowScan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batchScan := exec.NewBatchSMAScan(h, p, grader, batchOpts)
-		got := collectBatched(t, batchScan)
-		if !tuplesEqual(got, want) {
-			t.Logf("seed %d: %d batched tuples vs %d (pred %s)", seed, len(got), len(want), p)
-			return false
-		}
-		bs, rs := batchScan.Stats(), rowScan.Stats()
-		if bs.Qualifying != rs.Qualifying || bs.Disqualifying != rs.Disqualifying ||
-			bs.Ambivalent != rs.Ambivalent || bs.PagesRead != rs.PagesRead {
-			t.Logf("seed %d: batch stats %+v vs row %+v", seed, bs, rs)
-			return false
+		want := heapTuples(t, h, clonePred(p))
+		var first exec.ScanStats
+		for i, opts := range batchSizes {
+			scan := exec.NewBatchSMAScan(h, clonePred(p), grader, opts)
+			got := collectBatched(t, scan)
+			if !tuplesEqual(got, want) {
+				t.Logf("seed %d, batch %d: %d tuples vs %d (pred %s)", seed, opts.BatchSize, len(got), len(want), p)
+				return false
+			}
+			st := scan.Stats()
+			if i == 0 {
+				first = st
+				continue
+			}
+			if st.Qualifying != first.Qualifying || st.Disqualifying != first.Disqualifying ||
+				st.Ambivalent != first.Ambivalent || st.PagesRead != first.PagesRead {
+				t.Logf("seed %d: batch %d stats %+v vs one-page batches %+v", seed, opts.BatchSize, st, first)
+				return false
+			}
 		}
 		return true
 	}
@@ -125,10 +174,10 @@ func TestBatchSMAScanEqualsRowScan(t *testing.T) {
 	}
 }
 
-// TestBatchGAggrEqualsGAggr: the batched aggregation produces bit-identical
-// rows to the row-path hash aggregation — same fold order, same groups —
-// over both scan shapes, with and without GROUP BY.
-func TestBatchGAggrEqualsGAggr(t *testing.T) {
+// TestBatchGAggrBatchSizeInvariant: hash aggregation produces
+// bit-identical rows — same fold order, same groups — at every batch
+// size, with and without GROUP BY.
+func TestBatchGAggrBatchSizeInvariant(t *testing.T) {
 	groupings := [][]string{{"L_RETURNFLAG", "L_LINESTATUS"}, {"L_RETURNFLAG"}, nil}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -140,31 +189,20 @@ func TestBatchGAggrEqualsGAggr(t *testing.T) {
 		p := randPred(rng, 2)
 		specs := q1Specs()
 
-		row := exec.NewGAggr(exec.NewTableScan(h, clonePred(p)), h.Schema(), exec.CloneSpecs(specs), groupBy)
-		want, err := exec.CollectRows(exec.NewSortRows(row))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch := exec.NewBatchGAggr(exec.NewBatchTableScan(h, p, batchOpts), h.Schema(), exec.CloneSpecs(specs), groupBy)
-		got, err := exec.CollectRows(exec.NewSortRows(batch))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Logf("seed %d: %d groups vs %d (pred %s)", seed, len(got), len(want), p)
-			return false
-		}
-		for i := range want {
-			if got[i].Key != want[i].Key {
-				t.Logf("seed %d: key %q vs %q", seed, got[i].Key, want[i].Key)
-				return false
+		var want []exec.Row
+		for i, opts := range batchSizes {
+			agg := exec.NewBatchGAggr(exec.NewBatchTableScan(h, clonePred(p), opts), h.Schema(), exec.CloneSpecs(specs), groupBy)
+			got, err := exec.CollectRows(exec.NewSortRows(agg))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for j := range want[i].Aggs {
-				// Same accumulation order ⇒ bit-identical floats.
-				if got[i].Aggs[j] != want[i].Aggs[j] {
-					t.Logf("seed %d: agg[%d][%d] %v vs %v (pred %s)", seed, i, j, got[i].Aggs[j], want[i].Aggs[j], p)
-					return false
-				}
+			if i == 0 {
+				want = got
+				continue
+			}
+			if diff, ok := rowsIdentical(got, want); !ok {
+				t.Logf("seed %d, batch %d: %s (pred %s)", seed, opts.BatchSize, diff, p)
+				return false
 			}
 		}
 		return true
@@ -174,9 +212,9 @@ func TestBatchGAggrEqualsGAggr(t *testing.T) {
 	}
 }
 
-// TestSMAGAggrBatchedEqualsRow: the batched ambivalent-bucket path of
-// SMA_GAggr produces bit-identical results to its row path.
-func TestSMAGAggrBatchedEqualsRow(t *testing.T) {
+// TestSMAGAggrBatchSizeInvariant: SMA_GAggr's ambivalent-bucket fold
+// produces bit-identical results at every batch size.
+func TestSMAGAggrBatchSizeInvariant(t *testing.T) {
 	orders := []tpcd.Order{tpcd.OrderSorted, tpcd.OrderDiagonal, tpcd.OrderShuffled}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -189,35 +227,21 @@ func TestSMAGAggrBatchedEqualsRow(t *testing.T) {
 			smas["qty"], smas["ext"], smas["dis"], smas["count"]}
 		p := randPred(rng, 2)
 
-		build := func(rowMode bool, q pred.Predicate) *exec.SMAGAggr {
-			op := exec.NewSMAGAggr(h, q, exec.CloneSpecs(specs), groupBy, grader, aggSMAs, smas["count"])
-			op.Opts = batchOpts
-			op.Opts.RowMode = rowMode
-			return op
-		}
-		want, err := exec.CollectRows(exec.NewSortRows(build(true, clonePred(p))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched := build(false, p)
-		got, err := exec.CollectRows(exec.NewSortRows(batched))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Logf("seed %d: %d groups vs %d (pred %s)", seed, len(got), len(want), p)
-			return false
-		}
-		for i := range want {
-			if got[i].Key != want[i].Key {
-				t.Logf("seed %d: key %q vs %q", seed, got[i].Key, want[i].Key)
-				return false
+		var want []exec.Row
+		for i, opts := range batchSizes {
+			op := exec.NewSMAGAggr(h, clonePred(p), exec.CloneSpecs(specs), groupBy, grader, aggSMAs, smas["count"])
+			op.Opts = opts
+			got, err := exec.CollectRows(exec.NewSortRows(op))
+			if err != nil {
+				t.Fatal(err)
 			}
-			for j := range want[i].Aggs {
-				if got[i].Aggs[j] != want[i].Aggs[j] {
-					t.Logf("seed %d: agg[%d][%d] %v vs %v (pred %s)", seed, i, j, got[i].Aggs[j], want[i].Aggs[j], p)
-					return false
-				}
+			if i == 0 {
+				want = got
+				continue
+			}
+			if diff, ok := rowsIdentical(got, want); !ok {
+				t.Logf("seed %d, batch %d: %s (pred %s)", seed, opts.BatchSize, diff, p)
+				return false
 			}
 		}
 		return true
@@ -276,15 +300,12 @@ func TestBatchScanCancelMidBatch(t *testing.T) {
 	}
 }
 
-// TestBatchToTuplesAdapter spot-checks the adapter against a plain scan on
-// a page with deleted slots.
+// TestBatchToTuplesAdapter spot-checks the adapter against the heap's own
+// record callback on pages with deleted slots.
 func TestBatchToTuplesAdapter(t *testing.T) {
 	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0008, Seed: 3, Order: tpcd.OrderSorted}, 2)
 	deleteEveryNth(t, h, 5)
-	want, err := exec.CollectTuples(exec.NewTableScan(h, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := heapTuples(t, h, nil)
 	got := collectBatched(t, exec.NewBatchTableScan(h, nil, batchOpts))
 	if !tuplesEqual(got, want) {
 		t.Fatalf("adapter sequence differs: %d vs %d tuples", len(got), len(want))

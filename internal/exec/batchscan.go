@@ -8,11 +8,12 @@ import (
 	"sma/internal/storage"
 )
 
-// BatchTableScan is the batch-at-a-time counterpart of TableScan: it decodes
-// pages into a reusable batch (one memcpy per page when no records are
-// deleted), runs the predicate as a tight loop producing a selection vector,
-// and — when a prefetch window is configured — streams the pages of its
-// range into the buffer pool ahead of the cursor.
+// BatchTableScan reads every page of the relation (or of a page range) in
+// physical order, the baseline the paper's "Query 1 without SMAs" runs on.
+// It decodes pages into a reusable batch (one memcpy per page when no
+// records are deleted), runs the predicate as a tight loop producing a
+// selection vector, and — when a prefetch window is configured — streams
+// the pages of its range into the buffer pool ahead of the cursor.
 type BatchTableScan struct {
 	H    *storage.HeapFile
 	Pred pred.Predicate // nil means no filter
@@ -116,30 +117,34 @@ func (s *BatchTableScan) Close() error {
 // Stats reports pages read, batches produced, and prefetch activity.
 func (s *BatchTableScan) Stats() ScanStats { return s.stats }
 
-// BatchSMAScan is the batch-at-a-time counterpart of SMAScan (the paper's
-// SMA_Scan, Fig. 6): buckets are graded up front, disqualifying buckets are
-// skipped without touching a page, qualifying buckets are decoded straight
-// into batches with an all-selected vector, and only ambivalent buckets pay
-// the predicate loop. Because grading precedes the first page access, the
-// exact surviving page list feeds the asynchronous prefetcher before the
-// cursor starts.
+// BatchSMAScan is the paper's SMA_Scan operator (Fig. 6): buckets are
+// graded up front, disqualifying buckets are skipped without touching a
+// page, qualifying buckets are decoded straight into batches with an
+// all-selected vector (no predicate evaluated), and only ambivalent
+// buckets pay the predicate loop. Because grading precedes the first page
+// access, the exact surviving page list feeds the asynchronous prefetcher
+// before the cursor starts.
+//
+// "The three parameters of the iterator are the relation R to be scanned,
+// the predicate to be evaluated on its tuples and a set of SMAs useful for
+// partitioning the buckets of R."
 type BatchSMAScan struct {
 	H      *storage.HeapFile
 	Pred   pred.Predicate
 	Grader *core.Grader
 	// Ctx, when set, is checked before every page read.
 	Ctx context.Context
-	// Buckets, when non-nil, restricts the scan to the given ascending
-	// bucket numbers; Grades, when non-nil, runs parallel to Buckets (or
-	// to all buckets) and carries pre-computed grades.
-	Buckets []int
-	Grades  []core.Grade
+	// First and Grades restrict the scan to the bucket range
+	// [First, First+len(Grades)) with pre-computed grades; the parallel
+	// subsystem dispatches one range per worker this way. Nil Grades
+	// grades every bucket from First to the end of the relation.
+	First  int
+	Grades []core.Grade
 	// Opts carries the batch size and prefetch window.
 	Opts ExecOptions
 
-	grades    []core.Grade // effective grades, one per scan position
-	bucket    int          // next scan position
-	numBucket int
+	grades []core.Grade // effective grades, one per bucket of the range
+	bucket int          // next position in grades
 
 	grade    core.Grade
 	page     storage.PageID
@@ -158,14 +163,6 @@ func NewBatchSMAScan(h *storage.HeapFile, p pred.Predicate, grader *core.Grader,
 	return &BatchSMAScan{H: h, Pred: p, Grader: grader, Opts: opts}
 }
 
-// bucketAt maps a scan position to a bucket number.
-func (s *BatchSMAScan) bucketAt(i int) int {
-	if s.Buckets != nil {
-		return s.Buckets[i]
-	}
-	return i
-}
-
 // Open binds the predicate, grades the buckets (reusing pre-computed
 // grades when given), and hands the surviving page list to the prefetcher.
 func (s *BatchSMAScan) Open() error {
@@ -175,14 +172,9 @@ func (s *BatchSMAScan) Open() error {
 		}
 	}
 	s.bucket = 0
-	if s.Buckets != nil {
-		s.numBucket = len(s.Buckets)
-	} else {
-		s.numBucket = s.H.NumBuckets()
-	}
 	s.grades = s.Grades
 	if s.grades == nil {
-		s.grades = gradeBuckets(s.Grader, s.Pred, s.Buckets, s.numBucket)
+		s.grades = gradeBuckets(s.Grader, s.Pred, s.First, max(0, s.H.NumBuckets()-s.First))
 	}
 	s.inBucket = false
 	s.cap = batchCap(s.Opts, s.H.RecordsPerPage())
@@ -190,11 +182,11 @@ func (s *BatchSMAScan) Open() error {
 	s.stats = ScanStats{}
 	if w := s.Opts.EffectivePrefetchWindow(); w > 0 {
 		var spans []storage.PageSpan
-		for i := 0; i < s.numBucket; i++ {
-			if s.grades[i] == core.Disqualifies {
+		for i, g := range s.grades {
+			if g == core.Disqualifies {
 				continue
 			}
-			first, last := s.H.BucketRange(s.bucketAt(i))
+			first, last := s.H.BucketRange(s.First + i)
 			spans = append(spans, storage.PageSpan{First: first, Last: last})
 		}
 		s.pf = s.H.Pool().StartPrefetch(spans, w)
@@ -204,7 +196,7 @@ func (s *BatchSMAScan) Open() error {
 
 // getBucket advances past disqualifying buckets to the next surviving one.
 func (s *BatchSMAScan) getBucket() bool {
-	for ; s.bucket < s.numBucket; s.bucket++ {
+	for ; s.bucket < len(s.grades); s.bucket++ {
 		grade := s.grades[s.bucket]
 		switch grade {
 		case core.Disqualifies:
@@ -216,7 +208,7 @@ func (s *BatchSMAScan) getBucket() bool {
 			s.stats.Ambivalent++
 		}
 		s.grade = grade
-		s.page, s.lastPage = s.H.BucketRange(s.bucketAt(s.bucket))
+		s.page, s.lastPage = s.H.BucketRange(s.First + s.bucket)
 		s.inBucket = true
 		s.bucket++
 		return true

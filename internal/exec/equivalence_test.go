@@ -42,7 +42,8 @@ func randPred(rng *rand.Rand, depth int) pred.Predicate {
 
 // TestQuickSMAGAggrEqualsGAggr is the whole-plan equivalence property: for
 // random predicates, orderings and groupings, the SMA_GAggr result equals
-// the TableScan+GAggr result exactly (up to float tolerance).
+// the batch table scan + hash aggregation result exactly (up to float
+// tolerance).
 func TestQuickSMAGAggrEqualsGAggr(t *testing.T) {
 	orders := []tpcd.Order{tpcd.OrderSorted, tpcd.OrderSpec, tpcd.OrderDiagonal, tpcd.OrderShuffled}
 	groupings := [][]string{
@@ -71,16 +72,16 @@ func TestQuickSMAGAggrEqualsGAggr(t *testing.T) {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		base := exec.NewGAggr(exec.NewTableScan(h, clonePred(p)), h.Schema(), specs, groupBy)
+		base := exec.NewBatchGAggr(tableScan(h, clonePred(p)), h.Schema(), specs, groupBy)
 		want, err := exec.CollectRows(exec.NewSortRows(base))
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		if len(got) != len(want) {
-			// A global aggregate over zero qualifying tuples: GAggr emits a
-			// zero row, SMA_GAggr may too — both paths use finishGroups, so
-			// the counts must match.
+			// A global aggregate over zero qualifying tuples: hash
+			// aggregation emits a zero row, SMA_GAggr may too — both paths
+			// use FinishPartials, so the counts must match.
 			t.Logf("seed %d: %d groups vs %d (pred %s)", seed, len(got), len(want), p)
 			return false
 		}
@@ -154,12 +155,12 @@ func TestQuickSMAScanEqualsFilteredScan(t *testing.T) {
 		smas := buildQ1SMAs(t, h)
 		p := randPred(rng, 2)
 
-		scan := exec.NewSMAScan(h, p, core.NewGrader(smas["min"], smas["max"]))
-		got, err := exec.CollectTuples(scan)
+		scan := exec.NewBatchSMAScan(h, p, core.NewGrader(smas["min"], smas["max"]), exec.ExecOptions{})
+		got, err := exec.CollectTuples(exec.NewBatchToTuples(scan))
 		if err != nil {
 			return false
 		}
-		want, err := exec.CollectTuples(exec.NewTableScan(h, clonePred(p)))
+		want, err := exec.CollectTuples(exec.NewBatchToTuples(tableScan(h, clonePred(p))))
 		if err != nil {
 			return false
 		}
@@ -181,12 +182,13 @@ func TestQuickSMAScanEqualsFilteredScan(t *testing.T) {
 	}
 }
 
-// TestTupleAliasingContract: tuples from scans are invalidated by the next
-// Next call, so CollectTuples must copy — this test would catch a missing
-// Copy by seeing duplicated contents.
+// TestTupleAliasingContract: tuples adapted from scan batches alias the
+// batch buffer and are invalidated by later Next calls, so CollectTuples
+// must copy — this test would catch a missing Copy by seeing duplicated
+// contents.
 func TestTupleAliasingContract(t *testing.T) {
 	h := loadLineItems(t, tpcd.Config{ScaleFactor: 0.0005, Seed: 4}, 1)
-	it := exec.NewTableScan(h, nil)
+	it := exec.NewBatchToTuples(tableScan(h, nil))
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}

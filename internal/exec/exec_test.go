@@ -83,10 +83,15 @@ func q1Pred(cutoff string) pred.Predicate {
 	return pred.NewAtom("L_SHIPDATE", pred.Le, float64(tuple.MustParseDate(cutoff)))
 }
 
-// runQ1Baseline evaluates Query 1 with TableScan + GAggr.
+// tableScan returns a batch table scan with default options.
+func tableScan(h *storage.HeapFile, p pred.Predicate) *exec.BatchTableScan {
+	return exec.NewBatchTableScan(h, p, exec.ExecOptions{})
+}
+
+// runQ1Baseline evaluates Query 1 with a table scan + hash aggregation.
 func runQ1Baseline(t testing.TB, h *storage.HeapFile, p pred.Predicate) []exec.Row {
 	t.Helper()
-	agg := exec.NewGAggr(exec.NewTableScan(h, p), h.Schema(), q1Specs(),
+	agg := exec.NewBatchGAggr(tableScan(h, p), h.Schema(), q1Specs(),
 		[]string{"L_RETURNFLAG", "L_LINESTATUS"})
 	rows, err := exec.CollectRows(exec.NewSortRows(agg))
 	if err != nil {
@@ -173,12 +178,12 @@ func TestSMAScanEqualsTableScan(t *testing.T) {
 	smas := buildQ1SMAs(t, h)
 	p := q1Pred("1995-01-01")
 
-	want, err := exec.CollectTuples(exec.NewTableScan(h, p))
+	want, err := exec.CollectTuples(exec.NewBatchToTuples(tableScan(h, p)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan := exec.NewSMAScan(h, p, core.NewGrader(smas["min"], smas["max"]))
-	got, err := exec.CollectTuples(scan)
+	scan := exec.NewBatchSMAScan(h, p, core.NewGrader(smas["min"], smas["max"]), exec.ExecOptions{})
+	got, err := exec.CollectTuples(exec.NewBatchToTuples(scan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +210,7 @@ func TestSMAScanNoPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.CollectTuples(exec.NewSMAScan(h, nil, core.NewGrader()))
+	got, err := exec.CollectTuples(exec.NewBatchToTuples(exec.NewBatchSMAScan(h, nil, core.NewGrader(), exec.ExecOptions{})))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +228,7 @@ func TestGAggrGlobalAggregate(t *testing.T) {
 		{Func: exec.AggMax, Arg: expr.NewCol("L_QUANTITY"), Name: "MAXQ"},
 		{Func: exec.AggAvg, Arg: expr.NewCol("L_QUANTITY"), Name: "AVGQ"},
 	}
-	rows, err := exec.CollectRows(exec.NewGAggr(exec.NewTableScan(h, nil), h.Schema(), specs, nil))
+	rows, err := exec.CollectRows(exec.NewBatchGAggr(tableScan(h, nil), h.Schema(), specs, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +264,7 @@ func TestSMAGAggrFinerGroupingRollup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := exec.NewGAggr(exec.NewTableScan(h, p), h.Schema(), specs, []string{"L_RETURNFLAG"})
+	base := exec.NewBatchGAggr(tableScan(h, p), h.Schema(), specs, []string{"L_RETURNFLAG"})
 	want, err := exec.CollectRows(exec.NewSortRows(base))
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,8 @@
 // Package exec implements the physical operators of the query engine as
-// Volcano-style iterators ("the iterator concept" the paper cites): plain
-// table scans and hash aggregation as baselines, and the paper's two
-// SMA-aware operators, SMA_Scan (Fig. 6) and SMA_GAggr (Fig. 7).
+// Volcano-style iterators ("the iterator concept" the paper cites) that
+// pass batches of tuples: a plain table scan and hash aggregation as
+// baselines, and the paper's two SMA-aware operators, SMA_Scan (Fig. 6)
+// and SMA_GAggr (Fig. 7).
 package exec
 
 import (
@@ -25,10 +26,10 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// gradeBuckets grades an operator's buckets in one pass over the SMAs:
-// position i is bucket buckets[i], or bucket i when buckets is nil.
-// Without a predicate every bucket qualifies.
-func gradeBuckets(g *core.Grader, p pred.Predicate, buckets []int, n int) []core.Grade {
+// gradeBuckets grades the n buckets from first on in one pass over the
+// SMAs: position i is bucket first+i. Without a predicate every bucket
+// qualifies.
+func gradeBuckets(g *core.Grader, p pred.Predicate, first, n int) []core.Grade {
 	out := make([]core.Grade, n)
 	if p == nil {
 		for i := range out {
@@ -38,11 +39,7 @@ func gradeBuckets(g *core.Grader, p pred.Predicate, buckets []int, n int) []core
 	}
 	all := g.GradeAll(p)
 	for i := range out {
-		b := i
-		if buckets != nil {
-			b = buckets[i]
-		}
-		if b < len(all) {
+		if b := first + i; b < len(all) {
 			out[i] = all[b]
 		} else {
 			out[i] = g.Grade(b, p)
@@ -56,8 +53,9 @@ type TupleIter interface {
 	// Open initializes the iterator; it must be called before Next.
 	Open() error
 	// Next returns the next tuple. ok is false at end of stream. The
-	// returned tuple is owned by the caller (it does not alias page
-	// memory).
+	// returned tuple may alias a batch buffer or other operator memory and
+	// is valid only until the next Next or Close call; callers that retain
+	// it must Copy it.
 	Next() (t tuple.Tuple, ok bool, err error)
 	// Close releases resources. Close is idempotent.
 	Close() error
@@ -173,31 +171,6 @@ func newGroupAcc(vals []core.GroupVal, n int) *Partial {
 	return &Partial{Vals: vals, Aggs: make([]float64, n), Seen: make([]bool, n)}
 }
 
-// addTuple folds one tuple into the accumulator.
-func (g *Partial) addTuple(specs []AggSpec, t tuple.Tuple) {
-	g.Count++
-	for i := range specs {
-		sp := &specs[i]
-		switch sp.Func {
-		case AggCount:
-			g.Aggs[i]++
-		case AggSum, AggAvg:
-			g.Aggs[i] += sp.Arg.Eval(t)
-		case AggMin:
-			v := sp.Arg.Eval(t)
-			if !g.Seen[i] || v < g.Aggs[i] {
-				g.Aggs[i] = v
-			}
-		case AggMax:
-			v := sp.Arg.Eval(t)
-			if !g.Seen[i] || v > g.Aggs[i] {
-				g.Aggs[i] = v
-			}
-		}
-		g.Seen[i] = true
-	}
-}
-
 // addSMA folds one per-bucket SMA value into slot i.
 func (g *Partial) addSMA(specs []AggSpec, i int, v float64) {
 	switch specs[i].Func {
@@ -262,9 +235,38 @@ func CloneSpecs(specs []AggSpec) []AggSpec {
 	return out
 }
 
+// ScanStats reports the bucket classification observed by an SMA
+// operator, plus the page, batch and prefetch activity of its read path.
+type ScanStats struct {
+	Qualifying    int
+	Disqualifying int
+	Ambivalent    int
+	PagesRead     int // heap pages fetched (disqualified buckets cost none)
+	// Batches counts the tuple batches the scan operators produced.
+	Batches int
+	// PagesPrefetched counts the pages the asynchronous prefetcher read
+	// ahead of the cursor; populated when the scan closes.
+	PagesPrefetched int
+	// PrefetchHits counts page fetches that found their page already
+	// resident because the prefetcher got there first.
+	PrefetchHits int
+}
+
+// Add accumulates another worker's statistics into s; the parallel merge
+// stage folds per-partition stats into one per-query total with it.
+func (s *ScanStats) Add(o ScanStats) {
+	s.Qualifying += o.Qualifying
+	s.Disqualifying += o.Disqualifying
+	s.Ambivalent += o.Ambivalent
+	s.PagesRead += o.PagesRead
+	s.Batches += o.Batches
+	s.PagesPrefetched += o.PagesPrefetched
+	s.PrefetchHits += o.PrefetchHits
+}
+
 // StatsReporter is implemented by operators that track bucket grading and
-// heap page I/O (SMAScan, SMAGAggr, TableScan, and the parallel
-// aggregation executor). Plans expose it for per-query stats.
+// heap page I/O (BatchSMAScan, SMAGAggr, BatchTableScan, MemScan, and the
+// parallel aggregation executor). Plans expose it for per-query stats.
 type StatsReporter interface {
 	Stats() ScanStats
 }

@@ -16,7 +16,7 @@ import (
 // grouping with aggregation, using selection SMAs (via the Grader) to grade
 // buckets and aggregate SMAs to advance the result aggregates of qualifying
 // buckets without touching their pages. Only ambivalent buckets are
-// inspected tuple by tuple. The operator is a pipeline breaker: init()
+// inspected, batch by batch. The operator is a pipeline breaker: init()
 // computes the whole result, next() merely returns one group after another.
 type SMAGAggr struct {
 	H       *storage.HeapFile
@@ -40,20 +40,19 @@ type SMAGAggr struct {
 	// per page inside ambivalent buckets) so a cancelled query aborts the
 	// aggregation pass with the context's error.
 	Ctx context.Context
-	// Buckets, when non-nil, restricts the operator to the given ascending
-	// bucket numbers (one partition of the parallel subsystem). Grades,
-	// when non-nil, runs parallel to Buckets (or to all buckets when
-	// Buckets is nil) and carries pre-computed grades, saving re-grading.
-	Buckets []int
-	Grades  []core.Grade
+	// First and Grades restrict the operator to the bucket range
+	// [First, First+len(Grades)) with pre-computed grades, saving
+	// re-grading (one partition of the parallel subsystem). Nil Grades
+	// grades every bucket from First to the end of the relation.
+	First  int
+	Grades []core.Grade
 	// KeepPartials makes Open keep the merge-ready per-group state instead
 	// of finishing it into rows; retrieve it with Partials before Close.
 	// Next yields nothing in this mode. Parallel partition workers use it.
 	KeepPartials bool
-	// Opts selects batched execution of the ambivalent buckets (decode to
-	// a reusable batch, predicate as a selection-vector loop, alloc-free
-	// group fold) and asynchronous prefetch of their pages. The zero value
-	// batches with defaults; set RowMode for the legacy per-tuple path.
+	// Opts tunes the batched inspection of the ambivalent buckets (decode
+	// to a reusable batch, predicate as a selection-vector loop, alloc-free
+	// group fold) and the asynchronous prefetch of their pages.
 	Opts ExecOptions
 
 	schema *tuple.Schema
@@ -185,54 +184,46 @@ func (g *SMAGAggr) Open() error {
 
 	g.groups = make(map[core.GroupKey]*Partial)
 	g.stats = ScanStats{}
-	nb := g.H.NumBuckets()
-	if g.Buckets != nil {
-		nb = len(g.Buckets)
-	}
 
 	// Every bucket is graded up front (reusing pre-computed grades when
 	// given), so whole qualifying runs can be folded from the run
-	// summaries and, in batched mode, the ambivalent page set — the only
-	// pages this operator ever touches — is known before the first access
-	// and can stream in behind an asynchronous prefetcher.
+	// summaries and the ambivalent page set — the only pages this operator
+	// ever touches — is known before the first access and can stream in
+	// behind an asynchronous prefetcher.
 	grades := g.Grades
 	if grades == nil {
-		grades = gradeBuckets(g.Grader, g.Pred, g.Buckets, nb)
+		grades = gradeBuckets(g.Grader, g.Pred, g.First, max(0, g.H.NumBuckets()-g.First))
 	}
-	var folder *groupFolder
-	var batch *Batch
 	var pf *storage.Prefetcher
-	if g.Opts.Batching() {
-		if w := g.Opts.EffectivePrefetchWindow(); w > 0 {
-			var spans []storage.PageSpan
-			for i, gr := range grades {
-				if gr != core.Ambivalent {
-					continue
-				}
-				first, last := g.H.BucketRange(g.bucketAt(i))
-				spans = append(spans, storage.PageSpan{First: first, Last: last})
+	if w := g.Opts.EffectivePrefetchWindow(); w > 0 {
+		var spans []storage.PageSpan
+		for i, gr := range grades {
+			if gr != core.Ambivalent {
+				continue
 			}
-			pf = g.H.Pool().StartPrefetch(spans, w)
-			defer func() {
-				pf.Close()
-				g.stats.PagesPrefetched += pf.Issued()
-			}()
+			first, last := g.H.BucketRange(g.First + i)
+			spans = append(spans, storage.PageSpan{First: first, Last: last})
 		}
-		folder = newGroupFolder(g.Specs, g.gx, g.groups)
-		batch = getBatch(g.schema, batchCap(g.Opts, g.H.RecordsPerPage()))
-		defer putBatch(batch)
+		pf = g.H.Pool().StartPrefetch(spans, w)
+		defer func() {
+			pf.Close()
+			g.stats.PagesPrefetched += pf.Issued()
+		}()
 	}
+	folder := newGroupFolder(g.Specs, g.gx, g.groups)
+	batch := getBatch(g.schema, batchCap(g.Opts, g.H.RecordsPerPage()))
+	defer putBatch(batch)
 
 	runBuckets := g.runBuckets()
 	lastRun := -1
-	for i := 0; i < nb; {
-		b := g.bucketAt(i)
+	for i := 0; i < len(grades); {
+		b := g.First + i
 		if r := b / core.RunLen; r != lastRun {
 			if err := ctxErr(g.Ctx); err != nil {
 				return err
 			}
 			lastRun = r
-			if k := qualifyingRun(g.Buckets, grades, i, b, runBuckets); k > 0 {
+			if k := qualifyingRun(grades, i, b, runBuckets); k > 0 {
 				g.stats.Qualifying += k
 				g.advanceRunFromSMAs(r)
 				i += k
@@ -247,11 +238,7 @@ func (g *SMAGAggr) Open() error {
 			g.advanceFromSMAs(b)
 		default:
 			g.stats.Ambivalent++
-			if folder != nil {
-				if err := g.advanceFromBucketBatched(b, batch, folder, pf); err != nil {
-					return err
-				}
-			} else if err := g.advanceFromBucket(b); err != nil {
+			if err := g.advanceFromBucket(b, batch, folder, pf); err != nil {
 				return err
 			}
 		}
@@ -262,14 +249,6 @@ func (g *SMAGAggr) Open() error {
 	}
 	g.pos = 0
 	return nil
-}
-
-// bucketAt maps an operator position to its bucket number.
-func (g *SMAGAggr) bucketAt(i int) int {
-	if g.Buckets != nil {
-		return g.Buckets[i]
-	}
-	return i
 }
 
 // runBuckets returns the relation's bucket count when every aggregate
@@ -290,10 +269,10 @@ func (g *SMAGAggr) runBuckets() int {
 }
 
 // qualifyingRun reports how many positions from i on form the whole run
-// starting at bucket b — every bucket of the run present in the operator's
-// bucket set, in order, and graded Qualifies — or 0 if they do not, in
-// which case the run is folded bucket by bucket.
-func qualifyingRun(buckets []int, grades []core.Grade, i, b, runBuckets int) int {
+// starting at bucket b — every bucket of the run inside the operator's
+// range and graded Qualifies — or 0 if they do not, in which case the run
+// is folded bucket by bucket.
+func qualifyingRun(grades []core.Grade, i, b, runBuckets int) int {
 	if b%core.RunLen != 0 {
 		return 0
 	}
@@ -301,8 +280,8 @@ func qualifyingRun(buckets []int, grades []core.Grade, i, b, runBuckets int) int
 	if k <= 0 || i+k > len(grades) {
 		return 0
 	}
-	for j := 0; j < k; j++ {
-		if grades[i+j] != core.Qualifies || (buckets != nil && buckets[i+j] != b+j) {
+	for _, gr := range grades[i : i+k] {
+		if gr != core.Qualifies {
 			return 0
 		}
 	}
@@ -371,30 +350,11 @@ func (g *SMAGAggr) advanceRunFromSMAs(r int) {
 	}
 }
 
-// advanceFromBucket inspects an ambivalent bucket tuple by tuple.
-func (g *SMAGAggr) advanceFromBucket(b int) error {
-	first, last := g.H.BucketRange(b)
-	g.stats.PagesRead += int(last-first) + 1
-	return g.H.ScanBucket(b, func(t tuple.Tuple, _ storage.RID) error {
-		if g.Pred != nil && !g.Pred.Eval(t) {
-			return nil
-		}
-		var key core.GroupKey
-		var vals []core.GroupVal
-		if g.gx != nil {
-			vals = g.gx.Vals(t)
-			key = core.MakeGroupKey(vals)
-		}
-		g.acc(key, vals).addTuple(g.Specs, t)
-		return nil
-	})
-}
-
-// advanceFromBucketBatched inspects an ambivalent bucket batch by batch:
-// pages decode into the reusable batch, the predicate runs as a selection-
-// vector loop, and the survivors fold into the shared group map without
+// advanceFromBucket inspects an ambivalent bucket batch by batch: pages
+// decode into the reusable batch, the predicate runs as a selection-vector
+// loop, and the survivors fold into the shared group map without
 // per-tuple allocations.
-func (g *SMAGAggr) advanceFromBucketBatched(b int, batch *Batch, folder *groupFolder, pf *storage.Prefetcher) error {
+func (g *SMAGAggr) advanceFromBucket(b int, batch *Batch, folder *groupFolder, pf *storage.Prefetcher) error {
 	first, last := g.H.BucketRange(b)
 	per := g.H.RecordsPerPage()
 	capT := batchCap(g.Opts, per)

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"sma/internal/obs"
-	"sma/internal/tuple"
 )
 
 // This file adapts the iterator interfaces to the obs span tree: each
@@ -124,67 +123,20 @@ func (t *tracedBatchIter) Stats() ScanStats {
 	return ScanStats{}
 }
 
-// TraceTupleIter instruments a TupleIter with sp; nil sp is the
-// identity.
-func TraceTupleIter(it TupleIter, sp *obs.Span) TupleIter {
-	if sp == nil {
-		return it
-	}
-	return &tracedTupleIter{inner: it, sp: sp}
-}
-
-type tracedTupleIter struct {
-	inner  TupleIter
-	sp     *obs.Span
-	closed bool
-}
-
-func (t *tracedTupleIter) Open() error {
-	start := time.Now()
-	err := t.inner.Open()
-	t.sp.AddTime(time.Since(start))
-	return err
-}
-
-func (t *tracedTupleIter) Next() (tuple.Tuple, bool, error) {
-	start := time.Now()
-	tp, ok, err := t.inner.Next()
-	t.sp.AddTime(time.Since(start))
-	if ok {
-		t.sp.AddRows(1)
-	}
-	return tp, ok, err
-}
-
-func (t *tracedTupleIter) Close() error {
-	start := time.Now()
-	err := t.inner.Close()
-	t.sp.AddTime(time.Since(start))
-	if !t.closed {
-		t.closed = true
-		spanCopyStats(t.sp, t.inner)
-		t.sp.End()
-	}
-	return err
-}
-
-func (t *tracedTupleIter) Stats() ScanStats {
-	if sr, ok := t.inner.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return ScanStats{}
-}
-
 // spanCopyStats copies an operator's final ScanStats into its span and
 // hangs the readahead counters off a "prefetch" child, so the trace tree
 // mirrors the paper's pipeline: grading outcomes and page I/O on the
 // scan node, prefetch traffic one level below it.
 func spanCopyStats(sp *obs.Span, op any) {
-	sr, ok := op.(StatsReporter)
-	if !ok {
-		return
+	if sr, ok := op.(StatsReporter); ok {
+		SpanStats(sp, sr.Stats())
 	}
-	st := sr.Stats()
+}
+
+// SpanStats copies final ScanStats into sp the way an instrumented
+// operator does when it closes: grading outcomes, page I/O and batches on
+// sp, readahead counters on a "prefetch" child.
+func SpanStats(sp *obs.Span, st ScanStats) {
 	sp.AddPages(int64(st.PagesRead), 0, 0)
 	sp.AddGrades(int64(st.Qualifying), int64(st.Disqualifying), int64(st.Ambivalent))
 	sp.AddBatches(int64(st.Batches))

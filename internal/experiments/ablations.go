@@ -217,7 +217,7 @@ func RunE10(base Config) (E10Result, error) {
 		return r, err
 	}
 	start := time.Now()
-	base1, err := exec.CollectTuples(exec.NewTableScan(e.LineItem, residual))
+	base1, err := exec.CollectTuples(exec.NewBatchToTuples(exec.NewBatchTableScan(e.LineItem, residual, syncReads)))
 	if err != nil {
 		return r, err
 	}

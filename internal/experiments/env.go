@@ -264,9 +264,13 @@ func (e *Env) Q1AggSMAs() []*core.SMA {
 	}
 }
 
-// RunQ1Baseline executes Query 1 via TableScan + GAggr.
+// syncReads runs the baseline scans without readahead: every page is read
+// on demand, as in the paper's disk model.
+var syncReads = exec.ExecOptions{PrefetchWindow: -1}
+
+// RunQ1Baseline executes Query 1 via a table scan + hash aggregation.
 func (e *Env) RunQ1Baseline(deltaDays int) ([]exec.Row, error) {
-	agg := exec.NewGAggr(exec.NewTableScan(e.LineItem, Q1Pred(deltaDays)),
+	agg := exec.NewBatchGAggr(exec.NewBatchTableScan(e.LineItem, Q1Pred(deltaDays), syncReads),
 		e.LineItem.Schema(), Q1Specs(), Q1GroupBy())
 	return exec.CollectRows(exec.NewSortRows(agg))
 }

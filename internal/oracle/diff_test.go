@@ -23,13 +23,14 @@ func strategyBucket(name string) string {
 	}
 }
 
-// runDiff drives one seeded workload through the real engine and the
-// reference oracle in lockstep, requiring exact equivalence after every
-// step: identical RowsAffected for every write and identical rendered
-// column names and rows for every query.
-func runDiff(t *testing.T, seed int64, dop, nOps int) map[string]bool {
+// runDiff drives one seeded workload through the real engine (opened with
+// the extra options) and the reference oracle in lockstep, requiring
+// exact equivalence after every step: identical RowsAffected for every
+// write and identical rendered column names and rows for every query.
+func runDiff(t *testing.T, seed int64, dop, nOps int, extra ...sma.Option) map[string]bool {
 	t.Helper()
-	db, err := sma.Open(t.TempDir(), sma.WithBucketPages(1), sma.WithParallelism(dop))
+	opts := append([]sma.Option{sma.WithBucketPages(1), sma.WithParallelism(dop)}, extra...)
+	db, err := sma.Open(t.TempDir(), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +118,12 @@ func compareResults(t *testing.T, step int, sql string, got *sma.Result, want *o
 }
 
 // TestDifferentialOracle runs the randomized workload for several seeds at
-// dop 1 and dop NumCPU. Every run interleaves ≥ 200 operations; across the
-// seed set every dop must pass through all three planner strategies (a
-// single short stream can legitimately stay below the SMA_Scan cost
+// dop 1 and dop NumCPU, in two engine configurations: the defaults, and
+// 96-tuple batches with a 4-page prefetch window ("batch=96" subtests) —
+// batches that split pages and buckets, so batch and bucket boundaries
+// fall everywhere. Every run interleaves ≥ 200 operations; across the seed
+// set every configuration must pass through all three planner strategies
+// (a single short stream can legitimately stay below the SMA_Scan cost
 // breakeven while the table is small). Run with -race: DML holds the write
 // lock while parallel readers partition buckets.
 func TestDifferentialOracle(t *testing.T) {
@@ -129,24 +133,37 @@ func TestDifferentialOracle(t *testing.T) {
 	if parallel < 2 {
 		parallel = 2
 	}
-	dops := []int{1, parallel}
-	for _, dop := range dops {
-		dop := dop
-		t.Run(fmt.Sprintf("dop=%d", dop), func(t *testing.T) {
-			covered := map[string]bool{}
-			for _, seed := range []int64{1, 7, 42, 1998} {
-				seed := seed
-				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-					for s := range runDiff(t, seed, dop, 240) {
-						covered[s] = true
-					}
-				})
-			}
-			for _, s := range []string{"FullScan", "SMA_GAggr", "SMA_Scan"} {
-				if !covered[s] {
-					t.Errorf("no seed exercised strategy %s at dop %d (saw %v)", s, dop, covered)
-				}
-			}
-		})
+	configs := []struct {
+		prefix string
+		opts   []sma.Option
+	}{
+		{"", nil},
+		{"batch=96,", []sma.Option{sma.WithBatchSize(96), sma.WithPrefetchWindow(4)}},
 	}
+	for _, cfg := range configs {
+		for _, dop := range []int{1, parallel} {
+			runDiffSuite(t, fmt.Sprintf("%sdop=%d", cfg.prefix, dop), dop, cfg.opts)
+		}
+	}
+}
+
+// runDiffSuite runs the seed set as subtests of one configuration and
+// requires every planner strategy to be exercised across it.
+func runDiffSuite(t *testing.T, name string, dop int, opts []sma.Option) {
+	t.Run(name, func(t *testing.T) {
+		covered := map[string]bool{}
+		for _, seed := range []int64{1, 7, 42, 1998} {
+			seed := seed
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				for s := range runDiff(t, seed, dop, 240, opts...) {
+					covered[s] = true
+				}
+			})
+		}
+		for _, s := range []string{"FullScan", "SMA_GAggr", "SMA_Scan"} {
+			if !covered[s] {
+				t.Errorf("no seed exercised strategy %s in %s (saw %v)", s, name, covered)
+			}
+		}
+	})
 }

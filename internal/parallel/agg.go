@@ -16,9 +16,9 @@ type Mode uint8
 
 // Execution modes, mirroring the planner's strategies.
 const (
-	// ModeScan runs TableScan + hash aggregation per page-range partition
-	// (the FullScan strategy: no usable selection SMAs, or not selective
-	// enough).
+	// ModeScan runs a table scan + hash aggregation per page-range
+	// partition (the FullScan strategy: no usable selection SMAs, or not
+	// selective enough).
 	ModeScan Mode = iota
 	// ModeSMAScan runs SMA_Scan + hash aggregation per bucket partition
 	// (aggregates not covered by SMAs; grading only skips buckets).
@@ -28,11 +28,14 @@ const (
 	ModeSMAGAggr
 )
 
-// Agg executes a grouping-with-aggregation query across a worker pool, one
-// partition per worker, and merges the partial aggregates into one sorted
-// result. It is a pipeline breaker like the serial operators: Open
-// partitions, executes, and merges; Next streams the merged groups. Agg
-// implements exec.RowIter and exec.StatsReporter.
+// Agg executes a grouping-with-aggregation query as one pipeline per
+// partition and merges the partial aggregates into one sorted result. It
+// is the only aggregation executor over a heap: serial execution is Agg
+// over a single partition, which runs on the caller's goroutine with the
+// query's own predicate and specs and needs no merge. Like the operators
+// it drives, Agg is a pipeline breaker: Open partitions, executes, and
+// merges; Next streams the merged groups. Agg implements exec.RowIter and
+// exec.StatsReporter.
 //
 // Determinism: partitioning is a pure function of the grades and DOP, the
 // merge combines partials per group key, and FinishPartials emits groups
@@ -48,8 +51,9 @@ type Agg struct {
 
 	// Grader supplies selection grades for the SMA modes.
 	Grader *core.Grader
-	// Pregraded, when it covers the heap's buckets, is the grade vector the
-	// planner already computed for this query; it saves the grading pass.
+	// Pregraded, when set, is the grade vector the planner already
+	// computed for this query (padded to the heap's buckets with
+	// PadGrades); it saves the grading pass.
 	Pregraded []core.Grade
 	// AggSMAs and CountSMA parameterize ModeSMAGAggr (see exec.SMAGAggr).
 	AggSMAs  []*core.SMA
@@ -61,18 +65,20 @@ type Agg struct {
 	// Ctx, when set, cancels all workers at their next bucket or page
 	// boundary.
 	Ctx context.Context
-	// Exec selects the physical mode of each worker's pipeline: batched
-	// operators with selection vectors, and asynchronous prefetch of the
-	// worker's own partition pages. The per-worker prefetch window is
+	// Exec carries the batch size and prefetch window of each partition's
+	// pipeline. With several partitions the per-worker prefetch window is
 	// derated by the partition count so concurrent prefetchers cannot
 	// crowd the shared buffer pool.
 	Exec exec.ExecOptions
 
-	// Span, when set, is the merge-stage span of a traced query; Open
-	// hangs one child per worker partition off it, carrying the worker's
-	// busy time and scan counters. Metrics, when set, receives one
-	// partition-skew and per-worker utilization observation per run;
-	// the two are independent so metrics flow with tracing off.
+	// Span, when set, is the span of a traced query that Open hangs the
+	// stage off. One partition traces as the serial pipeline: a "fold"
+	// span noted with its operator, over a "scan" span in the scan modes.
+	// Several trace as a "merge" span noted with the dop, carrying one
+	// "worker" child per partition with its busy time and scan counters.
+	// Metrics, when set, receives one partition-skew and per-worker
+	// utilization observation per run with more than one partition; the
+	// two are independent so metrics flow with tracing off.
 	Span    *obs.Span
 	Metrics *obs.ParallelMetrics
 
@@ -80,30 +86,172 @@ type Agg struct {
 	pos   int
 	stats exec.ScanStats
 
-	// Dispatch-phase observability state, reset per Open.
+	// Partitions and dispatch-phase observability state, reset per Open:
+	// parts (bucket modes) or ranges (ModeScan) holds the partitions.
+	parts     []Partition
+	ranges    []PageRange
 	busy      []time.Duration // per-worker time inside the pipeline
 	partPages []int64         // per-partition page counts at dispatch
 }
 
-// Open grades the buckets, dispatches the partitions to the worker pool,
-// and merges the partial results. Like the serial SMA_GAggr, the whole
-// result is computed here; Next merely returns one group after another.
+// partialOp is one partition's pipeline root: an aggregation operator
+// that keeps its merge-ready group state.
+type partialOp interface {
+	exec.RowIter
+	Partials() map[core.GroupKey]*exec.Partial
+}
+
+// Open partitions the relation, runs one pipeline per partition, and
+// merges the partial results. The whole result is computed here; Next
+// merely returns one group after another.
 func (a *Agg) Open() error {
 	a.out, a.pos = nil, 0
 	a.stats = exec.ScanStats{}
 	a.busy, a.partPages = nil, nil
+	n := a.partition()
 
-	var partials []map[core.GroupKey]*exec.Partial
-	var workerStats []exec.ScanStats
+	var groups map[core.GroupKey]*exec.Partial
+	var sp *obs.Span
 	var err error
-	start := time.Now()
-	if a.Mode == ModeScan {
-		partials, workerStats, err = a.runScan()
+	if n == 1 {
+		sp = a.Span.Child("fold")
+		groups, err = a.runSerial(sp)
 	} else {
-		partials, workerStats, err = a.runBuckets()
+		sp = a.Span.Child("merge")
+		sp.SetNote("dop=%d", a.DOP)
+		groups, err = a.runParallel(sp)
 	}
 	if err != nil {
 		return err
+	}
+	a.out = exec.FinishPartials(groups, a.Specs, len(a.GroupBy) == 0)
+	sp.AddRows(int64(len(a.out)))
+	return nil
+}
+
+// partition computes the partitions of this run and returns their count:
+// page ranges in ModeScan, graded bucket ranges in the SMA modes. An
+// empty relation is one empty partition, so it still runs (and traces)
+// one pipeline.
+func (a *Agg) partition() int {
+	a.parts, a.ranges = nil, nil
+	if a.Mode == ModeScan {
+		a.ranges = PartitionPages(a.Heap.NumPages(), a.DOP)
+		if len(a.ranges) == 0 {
+			a.ranges = []PageRange{{}}
+		}
+		return len(a.ranges)
+	}
+	grades := a.Pregraded
+	if grades == nil {
+		grades = PreGrade(a.Heap, a.Grader, a.Pred)
+	} else {
+		grades = PadGrades(grades, a.Heap.NumBuckets())
+	}
+	a.parts = PartitionBuckets(a.Heap, grades, a.DOP, a.Mode == ModeSMAGAggr)
+	return len(a.parts)
+}
+
+// pipeline builds partition i's pipeline: SMA_GAggr over its bucket range,
+// or a batch scan — SMA_Scan over the bucket range, or a table scan over
+// the page range — feeding hash aggregation. It returns the root and the
+// operator whose stats the partition reports. foldSp, when set, is the
+// fold span of a traced serial run; the scan modes hang a scan span off
+// it.
+func (a *Agg) pipeline(ctx context.Context, i int, p pred.Predicate, specs []exec.AggSpec,
+	opts exec.ExecOptions, foldSp *obs.Span) (partialOp, exec.StatsReporter) {
+	var scan interface {
+		exec.BatchIter
+		exec.StatsReporter
+	}
+	var scanSp *obs.Span
+	switch a.Mode {
+	case ModeSMAGAggr:
+		foldSp.SetNote("sma_gaggr")
+		op := exec.NewSMAGAggr(a.Heap, p, specs, a.GroupBy, a.Grader, a.AggSMAs, a.CountSMA)
+		op.Ctx = ctx
+		op.First, op.Grades = a.parts[i].First, a.parts[i].Grades
+		op.KeepPartials = true
+		op.Opts = opts
+		return op, op
+	case ModeSMAScan:
+		scanSp = foldSp.Child("scan")
+		scanSp.SetNote("sma_scan batch")
+		s := exec.NewBatchSMAScan(a.Heap, p, a.Grader, opts)
+		s.Ctx = ctx
+		s.First, s.Grades = a.parts[i].First, a.parts[i].Grades
+		scan = s
+	default:
+		scanSp = foldSp.Child("scan")
+		scanSp.SetNote("table_scan batch")
+		s := exec.NewBatchTableScan(a.Heap, p, opts)
+		s.Ctx = ctx
+		s.StartPage, s.EndPage = a.ranges[i].First, a.ranges[i].Last
+		scan = s
+	}
+	ga := exec.NewBatchGAggr(exec.TraceBatchIter(scan, scanSp), a.Heap.Schema(), specs, a.GroupBy)
+	ga.KeepPartials = true
+	return ga, scan
+}
+
+// runSerial runs the single partition on the caller's goroutine: no
+// clones, no worker pool, and its groups are the result.
+func (a *Agg) runSerial(foldSp *obs.Span) (map[core.GroupKey]*exec.Partial, error) {
+	op, src := a.pipeline(a.Ctx, 0, a.Pred, a.Specs, a.workerExecOptions(1), foldSp)
+	it := exec.TraceRowIter(op, foldSp)
+	if err := it.Open(); err != nil {
+		_ = it.Close() // the Open error is the one worth reporting
+		return nil, err
+	}
+	groups := op.Partials()
+	a.stats = src.Stats()
+	return groups, it.Close()
+}
+
+// runParallel dispatches the partitions to the worker pool and merges
+// their partial groups and stats under mergeSp.
+func (a *Agg) runParallel(mergeSp *obs.Span) (map[core.GroupKey]*exec.Partial, error) {
+	start := time.Now()
+	defer func() {
+		mergeSp.AddTime(time.Since(start))
+		exec.SpanStats(mergeSp, a.stats)
+		mergeSp.End()
+	}()
+	n := max(len(a.parts), len(a.ranges))
+	workerOpts := a.workerExecOptions(n)
+	partials := make([]map[core.GroupKey]*exec.Partial, n)
+	stats := make([]exec.ScanStats, n)
+	a.partPages = make([]int64, n)
+	for i := range a.parts {
+		a.partPages[i] = a.parts[i].Pages
+	}
+	for i, r := range a.ranges {
+		a.partPages[i] = int64(r.Last - r.First)
+	}
+	spans := make([]*obs.Span, n)
+	for i := range spans {
+		spans[i] = mergeSp.Child("worker")
+		spans[i].SetNote("w%d", i)
+	}
+	a.busy = make([]time.Duration, n)
+	err := Run(a.Ctx, n, func(ctx context.Context, i int) error {
+		defer func(t0 time.Time) {
+			a.busy[i] = time.Since(t0)
+			spans[i].AddTime(a.busy[i])
+		}(time.Now())
+		// Each worker evaluates private clones of the predicate and the
+		// aggregate expressions: Bind writes column indexes, which must
+		// not race across workers.
+		op, src := a.pipeline(ctx, i, pred.Clone(a.Pred), exec.CloneSpecs(a.Specs), workerOpts, nil)
+		if err := op.Open(); err != nil {
+			_ = op.Close()
+			return err
+		}
+		partials[i], stats[i] = op.Partials(), src.Stats()
+		return op.Close()
+	})
+	if err != nil {
+		return nil, err
 	}
 	a.observe(time.Since(start))
 
@@ -117,117 +265,14 @@ func (a *Agg) Open() error {
 				merged[key] = p
 			}
 		}
-		a.stats.Add(workerStats[w])
+		a.stats.Add(stats[w])
+		st := stats[w]
+		spans[w].AddPages(int64(st.PagesRead), int64(st.PagesPrefetched), int64(st.PrefetchHits))
+		spans[w].AddGrades(int64(st.Qualifying), int64(st.Disqualifying), int64(st.Ambivalent))
+		spans[w].AddBatches(int64(st.Batches))
+		spans[w].End()
 	}
-	a.out = exec.FinishPartials(merged, a.Specs, len(a.GroupBy) == 0)
-	return nil
-}
-
-// runBuckets executes the SMA modes: pre-grade once, drop disqualifying
-// buckets, and run one partition per worker.
-func (a *Agg) runBuckets() ([]map[core.GroupKey]*exec.Partial, []exec.ScanStats, error) {
-	grades := a.Pregraded
-	if len(grades) != a.Heap.NumBuckets() {
-		grades = PreGrade(a.Heap, a.Grader, a.Pred)
-	}
-	parts := PartitionBuckets(a.Heap, grades, a.DOP, a.Mode == ModeSMAGAggr)
-	// Disqualified buckets are never dispatched; account for them here so
-	// the merged stats match a serial run.
-	for _, g := range grades {
-		if g == core.Disqualifies {
-			a.stats.Disqualifying++
-		}
-	}
-	workerOpts := a.workerExecOptions(len(parts))
-	partials := make([]map[core.GroupKey]*exec.Partial, len(parts))
-	stats := make([]exec.ScanStats, len(parts))
-	a.partPages = make([]int64, len(parts))
-	for i := range parts {
-		a.partPages[i] = int64(len(parts[i].Buckets)) * int64(a.Heap.BucketPages)
-	}
-	spans := a.workerSpans(len(parts))
-	a.busy = make([]time.Duration, len(parts))
-	err := Run(a.Ctx, len(parts), func(ctx context.Context, i int) error {
-		defer func(t0 time.Time) {
-			a.busy[i] = time.Since(t0)
-			spans[i].AddTime(a.busy[i])
-		}(time.Now())
-		// Each worker evaluates private clones of the predicate and the
-		// aggregate expressions: Bind writes column indexes, which must
-		// not race across workers.
-		p := pred.Clone(a.Pred)
-		specs := exec.CloneSpecs(a.Specs)
-		if a.Mode == ModeSMAGAggr {
-			op := exec.NewSMAGAggr(a.Heap, p, specs, a.GroupBy, a.Grader, a.AggSMAs, a.CountSMA)
-			op.Ctx = ctx
-			op.Buckets = parts[i].Buckets
-			op.Grades = parts[i].Grades
-			op.KeepPartials = true
-			op.Opts = workerOpts
-			if err := op.Open(); err != nil {
-				op.Close()
-				return err
-			}
-			partials[i], stats[i] = op.Partials(), op.Stats()
-			return op.Close()
-		}
-		if workerOpts.Batching() {
-			scan := exec.NewBatchSMAScan(a.Heap, p, a.Grader, workerOpts)
-			scan.Ctx = ctx
-			scan.Buckets = parts[i].Buckets
-			scan.Grades = parts[i].Grades
-			ga := exec.NewBatchGAggr(scan, a.Heap.Schema(), specs, a.GroupBy)
-			ga.KeepPartials = true
-			if err := ga.Open(); err != nil {
-				return err
-			}
-			partials[i], stats[i] = ga.Partials(), scan.Stats()
-			return ga.Close()
-		}
-		scan := exec.NewSMAScan(a.Heap, p, a.Grader)
-		scan.Ctx = ctx
-		scan.Buckets = parts[i].Buckets
-		scan.Grades = parts[i].Grades
-		scan.PrefetchWindow = workerOpts.EffectivePrefetchWindow()
-		ga := exec.NewGAggr(scan, a.Heap.Schema(), specs, a.GroupBy)
-		ga.KeepPartials = true
-		if err := ga.Open(); err != nil {
-			return err
-		}
-		partials[i], stats[i] = ga.Partials(), scan.Stats()
-		return ga.Close()
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	finishWorkerSpans(spans, stats)
-	return partials, stats, nil
-}
-
-// workerSpans attaches one child span per worker partition to the merge
-// span; with tracing off every element is nil and the workers' span
-// calls are no-ops.
-func (a *Agg) workerSpans(n int) []*obs.Span {
-	spans := make([]*obs.Span, n)
-	for i := range spans {
-		sp := a.Span.Child("worker")
-		sp.SetNote("w%d", i)
-		spans[i] = sp
-	}
-	return spans
-}
-
-// finishWorkerSpans copies each worker's final scan counters into its
-// span and ends it. Runs after the worker pool has joined, so the spans
-// and stats are quiescent.
-func finishWorkerSpans(spans []*obs.Span, stats []exec.ScanStats) {
-	for i, sp := range spans {
-		st := stats[i]
-		sp.AddPages(int64(st.PagesRead), int64(st.PagesPrefetched), int64(st.PrefetchHits))
-		sp.AddGrades(int64(st.Qualifying), int64(st.Disqualifying), int64(st.Ambivalent))
-		sp.AddBatches(int64(st.Batches))
-		sp.End()
-	}
+	return merged, nil
 }
 
 // observe feeds the parallel metric families after a successful run:
@@ -262,16 +307,8 @@ func (a *Agg) observe(wall time.Duration) {
 func (a *Agg) workerExecOptions(n int) exec.ExecOptions {
 	opts := a.Exec
 	w := opts.EffectivePrefetchWindow()
-	if w == 0 || n <= 1 {
-		if w == 0 {
-			opts.PrefetchWindow = -1
-		} else {
-			opts.PrefetchWindow = w
-		}
-		return opts
-	}
-	if room := a.Heap.Pool().Capacity() / (4 * n); w > room {
-		w = room
+	if w > 0 && n > 1 {
+		w = min(w, a.Heap.Pool().Capacity()/(4*n))
 	}
 	if w < 1 {
 		opts.PrefetchWindow = -1
@@ -279,59 +316,6 @@ func (a *Agg) workerExecOptions(n int) exec.ExecOptions {
 		opts.PrefetchWindow = w
 	}
 	return opts
-}
-
-// runScan executes ModeScan: one TableScan + hash aggregation per page
-// range.
-func (a *Agg) runScan() ([]map[core.GroupKey]*exec.Partial, []exec.ScanStats, error) {
-	ranges := PartitionPages(a.Heap.NumPages(), a.DOP)
-	workerOpts := a.workerExecOptions(len(ranges))
-	partials := make([]map[core.GroupKey]*exec.Partial, len(ranges))
-	stats := make([]exec.ScanStats, len(ranges))
-	a.partPages = make([]int64, len(ranges))
-	for i := range ranges {
-		a.partPages[i] = int64(ranges[i].Last-ranges[i].First) + 1
-	}
-	spans := a.workerSpans(len(ranges))
-	a.busy = make([]time.Duration, len(ranges))
-	err := Run(a.Ctx, len(ranges), func(ctx context.Context, i int) error {
-		defer func(t0 time.Time) {
-			a.busy[i] = time.Since(t0)
-			spans[i].AddTime(a.busy[i])
-		}(time.Now())
-		p := pred.Clone(a.Pred)
-		specs := exec.CloneSpecs(a.Specs)
-		if workerOpts.Batching() {
-			scan := exec.NewBatchTableScan(a.Heap, p, workerOpts)
-			scan.Ctx = ctx
-			scan.StartPage = ranges[i].First
-			scan.EndPage = ranges[i].Last
-			ga := exec.NewBatchGAggr(scan, a.Heap.Schema(), specs, a.GroupBy)
-			ga.KeepPartials = true
-			if err := ga.Open(); err != nil {
-				return err
-			}
-			partials[i], stats[i] = ga.Partials(), scan.Stats()
-			return ga.Close()
-		}
-		scan := exec.NewTableScan(a.Heap, p)
-		scan.Ctx = ctx
-		scan.StartPage = ranges[i].First
-		scan.EndPage = ranges[i].Last
-		scan.PrefetchWindow = workerOpts.EffectivePrefetchWindow()
-		ga := exec.NewGAggr(scan, a.Heap.Schema(), specs, a.GroupBy)
-		ga.KeepPartials = true
-		if err := ga.Open(); err != nil {
-			return err
-		}
-		partials[i], stats[i] = ga.Partials(), scan.Stats()
-		return ga.Close()
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	finishWorkerSpans(spans, stats)
-	return partials, stats, nil
 }
 
 // Next returns the next merged group.
@@ -350,6 +334,5 @@ func (a *Agg) Close() error {
 	return nil
 }
 
-// Stats returns the merged per-worker scan statistics plus the buckets the
-// partitioner dropped as disqualifying before dispatch.
+// Stats returns the scan statistics of the run, merged across partitions.
 func (a *Agg) Stats() exec.ScanStats { return a.stats }

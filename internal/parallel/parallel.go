@@ -6,12 +6,12 @@
 //
 // A query runs in three stages:
 //
-//  1. Partition: every bucket is graded once with the selection SMAs.
-//     Disqualifying buckets are dropped before dispatch (they would cost a
-//     worker nothing but scheduling), and the surviving buckets are split
-//     into contiguous, page-balanced partitions — skew-resistant because
-//     the split weighs pages, not buckets, and contiguous so each worker
-//     reads mostly-sequential pages.
+//  1. Partition: every bucket is graded once with the selection SMAs, and
+//     the relation is cut into contiguous bucket ranges balanced by the
+//     pages of their surviving (non-disqualified) buckets — skew-resistant
+//     because the split weighs pages, not buckets, and contiguous so each
+//     worker reads mostly-sequential pages. Disqualifying buckets cost the
+//     worker whose range holds them nothing but a grade check.
 //  2. Execute: a context-aware worker pool runs one SMA_Scan or SMA_GAggr
 //     pipeline per partition. The first worker error (or a parent context
 //     cancel) cancels every sibling at its next bucket or page boundary.
@@ -22,8 +22,10 @@
 //     for every degree of parallelism.
 //
 // Full scans without usable SMAs parallelize too, by page range instead of
-// graded bucket. Projection queries are not parallelized: they stream
-// tuples in physical order, which a merge stage would only re-serialize.
+// graded bucket. Serial execution is the same pipeline over one partition:
+// the whole relation, not split, not merged. Projection queries are not
+// parallelized: they stream tuples in physical order, which a merge stage
+// would only re-serialize.
 package parallel
 
 import (
@@ -32,21 +34,22 @@ import (
 	"sma/internal/storage"
 )
 
-// Partition is one unit of intra-query parallelism: an ascending run of a
-// relation's buckets together with their pre-computed grades and the heap
-// pages they cover (the balance weight).
+// Partition is one unit of intra-query parallelism: the contiguous bucket
+// range [First, First+len(Grades)) of a relation, its buckets' grades (a
+// subslice of the query's grade vector), and the heap pages of its
+// surviving buckets (the balance weight; left 0 when the relation is not
+// split).
 type Partition struct {
-	Buckets []int
-	Grades  []core.Grade
-	Pages   int64
+	First  int
+	Grades []core.Grade
+	Pages  int64
 }
 
 // PreGrade grades every bucket of h once against p, in memory, using the
 // grader's SMA vectors (delegating to core.Grader.GradeAll and padding to
-// the heap's bucket count — missing information degrades to Ambivalent,
-// never to a wrong skip). A nil predicate grades every bucket qualifying.
-// The result is shared by the partitioner and the partition workers, so
-// no bucket is graded twice.
+// the heap's bucket count, see PadGrades). A nil predicate grades every
+// bucket qualifying. The result is shared by the partitioner and the
+// partition workers, so no bucket is graded twice.
 func PreGrade(h *storage.HeapFile, g *core.Grader, p pred.Predicate) []core.Grade {
 	nb := h.NumBuckets()
 	if p == nil {
@@ -56,14 +59,23 @@ func PreGrade(h *storage.HeapFile, g *core.Grader, p pred.Predicate) []core.Grad
 		}
 		return grades
 	}
-	grades := g.GradeAll(p)
-	if len(grades) > nb {
-		grades = grades[:nb]
+	return PadGrades(g.GradeAll(p), nb)
+}
+
+// PadGrades fits a grade vector to a relation of nb buckets: longer
+// vectors are cut, and buckets past the end grade Ambivalent — missing
+// information degrades to inspecting a bucket, never to a wrong skip. A
+// vector of the right length is returned as is.
+func PadGrades(grades []core.Grade, nb int) []core.Grade {
+	if len(grades) >= nb {
+		return grades[:nb]
 	}
-	for len(grades) < nb {
-		grades = append(grades, core.Ambivalent)
+	out := make([]core.Grade, nb)
+	copy(out, grades)
+	for i := len(grades); i < nb; i++ {
+		out[i] = core.Ambivalent
 	}
-	return grades
+	return out
 }
 
 // smaAnsweredQualWeight is the balance weight of a qualifying bucket when
@@ -74,63 +86,70 @@ const (
 	smaAnsweredQualWeight = 1
 )
 
-// PartitionBuckets drops disqualifying buckets and splits the survivors
-// into at most dop contiguous partitions balanced by cost. The weight of
-// a bucket is its page count — except when smaAnswered is set (the
-// SMA_GAggr mode), where qualifying buckets are answered from the SMA
-// vectors without touching a page and weigh next to nothing, so the split
-// spreads the ambivalent buckets (the real page I/O) across workers.
-// Empty partitions are never returned; with fewer surviving buckets than
-// workers the result has fewer than dop partitions.
+// PartitionBuckets cuts the relation's buckets into at most dop
+// contiguous ranges that tile [0, len(grades)), balanced by cost, each
+// holding at least one surviving bucket. The weight of a surviving bucket
+// is its page count — except when smaAnswered is set (the SMA_GAggr mode),
+// where qualifying buckets are answered from the SMA vectors without
+// touching a page and weigh next to nothing, so the split spreads the
+// ambivalent buckets (the real page I/O) across workers. Disqualifying
+// buckets weigh nothing and stay in whichever range holds them.
+//
+// At dop <= 1, or when no bucket survives, the result is the one range
+// over the whole vector, built without looking at any bucket: serial
+// execution pays nothing for partitioning.
 func PartitionBuckets(h *storage.HeapFile, grades []core.Grade, dop int, smaAnswered bool) []Partition {
-	if dop < 1 {
-		dop = 1
+	whole := []Partition{{First: 0, Grades: grades}}
+	if dop <= 1 {
+		return whole
 	}
-	type survivor struct {
-		bucket int
-		grade  core.Grade
-		pages  int64
-		weight int64
+	weigh := func(b int) (pages, weight int64) {
+		first, last := h.BucketRange(b)
+		pages = int64(last-first) + 1
+		if smaAnswered && grades[b] == core.Qualifies {
+			return pages, smaAnsweredQualWeight
+		}
+		return pages, pages * pageWeight
 	}
-	var survivors []survivor
+	survivors := 0
 	var totalWeight int64
+	for b, g := range grades {
+		if g != core.Disqualifies {
+			survivors++
+			_, w := weigh(b)
+			totalWeight += w
+		}
+	}
+	if survivors == 0 {
+		return whole
+	}
+	dop = min(dop, survivors)
+	parts := make([]Partition, 0, dop)
+	first, kept := 0, 0 // the open range and its surviving buckets
+	var pages, cum int64
 	for b, g := range grades {
 		if g == core.Disqualifies {
 			continue
 		}
-		first, last := h.BucketRange(b)
-		pages := int64(last-first) + 1
-		weight := pages * pageWeight
-		if smaAnswered && g == core.Qualifies {
-			weight = smaAnsweredQualWeight
-		}
-		survivors = append(survivors, survivor{bucket: b, grade: g, pages: pages, weight: weight})
-		totalWeight += weight
-	}
-	if len(survivors) == 0 {
-		return nil
-	}
-	if dop > len(survivors) {
-		dop = len(survivors)
-	}
-	parts := make([]Partition, 0, dop)
-	cur := Partition{}
-	var cum int64
-	for _, s := range survivors {
-		cur.Buckets = append(cur.Buckets, s.bucket)
-		cur.Grades = append(cur.Grades, s.grade)
-		cur.Pages += s.pages
-		cum += s.weight
-		// Cut when the cumulative weight crosses the next of dop
-		// equal-width targets, keeping the last partition open for the
-		// remainder so exactly the surviving buckets are covered.
+		p, w := weigh(b)
+		kept++
+		pages += p
+		cum += w
+		// Cut after the bucket whose weight crosses the next of dop
+		// equal-width targets, keeping the last range open for the
+		// remainder so the ranges tile the whole vector.
 		if len(parts) < dop-1 && cum*int64(dop) >= totalWeight*int64(len(parts)+1) {
-			parts = append(parts, cur)
-			cur = Partition{}
+			parts = append(parts, Partition{First: first, Grades: grades[first : b+1], Pages: pages})
+			first, kept, pages = b+1, 0, 0
 		}
 	}
-	if len(cur.Buckets) > 0 {
-		parts = append(parts, cur)
+	if kept > 0 {
+		parts = append(parts, Partition{First: first, Grades: grades[first:], Pages: pages})
+	} else {
+		// The last survivor closed a range: the trailing disqualified
+		// buckets join it.
+		last := &parts[len(parts)-1]
+		last.Grades = grades[last.First:]
 	}
 	return parts
 }

@@ -10,6 +10,7 @@ import (
 
 	"sma/internal/core"
 	"sma/internal/engine"
+	"sma/internal/exec"
 	"sma/internal/parallel"
 	"sma/internal/tpcd"
 	"sma/internal/tuple"
@@ -215,9 +216,9 @@ func TestParallelTinyBufferPool(t *testing.T) {
 	sameRows(t, serial, par, "dop=16 pool=4")
 }
 
-// TestParallelAllDisqualified: when every bucket disqualifies, no
-// partition is dispatched at all, and a global aggregate must still emit
-// its single zero row — identically to a serial run.
+// TestParallelAllDisqualified: when every bucket disqualifies, one range
+// holds them all and reads no page, and a global aggregate must still
+// emit its single zero row — identically to a serial run.
 func TestParallelAllDisqualified(t *testing.T) {
 	db := newLineItemDB(t, 0.0005, tpcd.OrderSorted, q1SMADDL, engine.Options{})
 	q := `select count(*) as N, sum(L_QUANTITY) as Q from LINEITEM
@@ -332,9 +333,10 @@ func TestRunFirstErrorCancelsSiblings(t *testing.T) {
 	}
 }
 
-// TestPartitionBuckets checks that disqualifying buckets are dropped, the
-// surviving buckets are covered exactly once in ascending order, at most
-// dop partitions come back, and the page weights are balanced.
+// TestPartitionBuckets checks that the ranges tile the grade vector in
+// order, each holds at least one surviving bucket and carries its
+// buckets' grades, at most dop ranges come back, and the page weights of
+// the survivors are balanced.
 func TestPartitionBuckets(t *testing.T) {
 	db := newLineItemDB(t, 0.0005, tpcd.OrderSorted, nil, engine.Options{})
 	tbl, err := db.Table("LINEITEM")
@@ -362,48 +364,22 @@ func TestPartitionBuckets(t *testing.T) {
 		if len(parts) > dop {
 			t.Fatalf("dop=%d: %d partitions", dop, len(parts))
 		}
-		var seen []int
+		checkTiling(t, fmt.Sprintf("dop=%d", dop), parts, grades)
+		if len(parts) == 1 {
+			continue
+		}
 		var minPages, maxPages int64 = math.MaxInt64, 0
 		for _, p := range parts {
-			if len(p.Buckets) != len(p.Grades) {
-				t.Fatalf("dop=%d: buckets/grades length mismatch", dop)
-			}
-			for i, b := range p.Buckets {
-				if grades[b] == core.Disqualifies {
-					t.Fatalf("dop=%d: disqualified bucket %d dispatched", dop, b)
-				}
-				if p.Grades[i] != grades[b] {
-					t.Fatalf("dop=%d: bucket %d grade mismatch", dop, b)
-				}
-				seen = append(seen, b)
-			}
-			if p.Pages < minPages {
-				minPages = p.Pages
-			}
-			if p.Pages > maxPages {
-				maxPages = p.Pages
-			}
-		}
-		want := 0
-		for b, g := range grades {
-			if g == core.Disqualifies {
-				continue
-			}
-			if want >= len(seen) || seen[want] != b {
-				t.Fatalf("dop=%d: survivor %d missing or out of order", dop, b)
-			}
-			want++
-		}
-		if want != len(seen) {
-			t.Fatalf("dop=%d: covered %d buckets, want %d", dop, len(seen), want)
+			minPages = min(minPages, p.Pages)
+			maxPages = max(maxPages, p.Pages)
 		}
 		// With single-page buckets the split should be near-even.
-		if len(parts) > 1 && maxPages > minPages+2 {
+		if maxPages > minPages+2 {
 			t.Errorf("dop=%d: unbalanced partitions: min %d max %d pages", dop, minPages, maxPages)
 		}
 	}
-	if parts := parallel.PartitionBuckets(h, make([]core.Grade, 0), 4, false); parts != nil {
-		t.Errorf("empty grades should partition to nil, got %v", parts)
+	if parts := parallel.PartitionBuckets(h, make([]core.Grade, 0), 4, false); len(parts) != 1 || len(parts[0].Grades) != 0 {
+		t.Errorf("empty grades should partition to one empty range, got %v", parts)
 	}
 
 	// SMA-answered mode: qualifying buckets cost no page I/O, so with the
@@ -422,22 +398,138 @@ func TestPartitionBuckets(t *testing.T) {
 	if len(parts) != 4 {
 		t.Fatalf("smaAnswered split: %d partitions, want 4", len(parts))
 	}
-	ambPerPart := make([]int, len(parts))
+	checkTiling(t, "smaAnswered", parts, skew)
+	totalAmb := nb - nb/2
 	for i, p := range parts {
-		for j, b := range p.Buckets {
-			if p.Grades[j] != skew[b] {
-				t.Fatalf("smaAnswered split: bucket %d grade mismatch", b)
+		amb := 0
+		for _, g := range p.Grades {
+			if g == core.Ambivalent {
+				amb++
 			}
-			if skew[b] == core.Ambivalent {
-				ambPerPart[i]++
+		}
+		if amb > totalAmb/2 {
+			t.Errorf("smaAnswered split: partition %d holds %d of %d ambivalent buckets (page I/O not spread)",
+				i, amb, totalAmb)
+		}
+	}
+}
+
+// checkTiling requires parts to tile [0, len(grades)) in order with no gap
+// or overlap, each range viewing the query's own grade vector and, when
+// the relation is split, holding at least one surviving bucket.
+func checkTiling(t *testing.T, label string, parts []parallel.Partition, grades []core.Grade) {
+	t.Helper()
+	next := 0
+	for i, p := range parts {
+		if p.First != next {
+			t.Fatalf("%s: range %d starts at bucket %d, want %d", label, i, p.First, next)
+		}
+		if len(p.Grades) > 0 && &p.Grades[0] != &grades[p.First] {
+			t.Fatalf("%s: range %d does not view the query's grade vector", label, i)
+		}
+		survivors := 0
+		for _, g := range p.Grades {
+			if g != core.Disqualifies {
+				survivors++
+			}
+		}
+		if len(parts) > 1 && survivors == 0 {
+			t.Fatalf("%s: range %d [%d, %d) holds no surviving bucket", label, i, p.First, p.First+len(p.Grades))
+		}
+		next += len(p.Grades)
+	}
+	if next != len(grades) {
+		t.Fatalf("%s: ranges cover [0, %d), want [0, %d)", label, next, len(grades))
+	}
+}
+
+// TestPartitionBucketsSerialNoWalk: at dop 1 partitioning is free — one
+// range over the caller's own vector, built without looking at a bucket
+// (so no heap is needed) and with at most one allocation, however many
+// buckets the relation has.
+func TestPartitionBucketsSerialNoWalk(t *testing.T) {
+	grades := make([]core.Grade, 10000)
+	for b := range grades {
+		grades[b] = core.Grade(b % 3)
+	}
+	var parts []parallel.Partition
+	allocs := testing.AllocsPerRun(100, func() {
+		parts = parallel.PartitionBuckets(nil, grades, 1, true)
+	})
+	if allocs > 1 {
+		t.Errorf("dop 1 partitioning made %.1f allocations, want <= 1", allocs)
+	}
+	if len(parts) != 1 || parts[0].First != 0 || len(parts[0].Grades) != len(grades) || &parts[0].Grades[0] != &grades[0] {
+		t.Fatalf("dop 1: got %d ranges, want one range over the caller's vector", len(parts))
+	}
+}
+
+// TestPartitionBucketsTile: at dop 2 and 4, over grade mixes from sparse
+// to dense survivors, the ranges tile the relation and each holds a
+// surviving bucket.
+func TestPartitionBucketsTile(t *testing.T) {
+	db := newLineItemDB(t, 0.0005, tpcd.OrderSorted, nil, engine.Options{})
+	tbl, err := db.Table("LINEITEM")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tbl.Heap
+	nb := h.NumBuckets()
+	for _, every := range []int{1, 2, 7, nb / 3, nb} {
+		grades := make([]core.Grade, nb)
+		for b := range grades {
+			grades[b] = core.Disqualifies
+			if b%every == every-1 {
+				grades[b] = core.Grade(1 + b%2) // qualifying or ambivalent
+			}
+		}
+		for _, dop := range []int{2, 4} {
+			for _, answered := range []bool{false, true} {
+				parts := parallel.PartitionBuckets(h, grades, dop, answered)
+				label := fmt.Sprintf("every=%d dop=%d smaAnswered=%v", every, dop, answered)
+				if len(parts) > dop {
+					t.Fatalf("%s: %d ranges", label, len(parts))
+				}
+				checkTiling(t, label, parts, grades)
 			}
 		}
 	}
-	totalAmb := nb - nb/2
-	for i, n := range ambPerPart {
-		if n > totalAmb/2 {
-			t.Errorf("smaAnswered split: partition %d holds %d of %d ambivalent buckets (page I/O not spread)",
-				i, n, totalAmb)
+}
+
+// TestPartitionStatsMerge: the merged scan statistics — grade counts and
+// pages read — are the same at dop 1, 2 and 4 for every strategy, since
+// each range's operator counts the disqualified buckets it holds.
+func TestPartitionStatsMerge(t *testing.T) {
+	db := newLineItemDB(t, 0.001, tpcd.OrderDiagonal, q1SMADDL, engine.Options{})
+	for _, tc := range []struct{ strategy, sql string }{
+		{"SMA_GAggr", query1},
+		{"SMA_Scan+GAggr", `select L_RETURNFLAG, max(L_TAX) as M from LINEITEM
+		 where L_SHIPDATE <= date '1992-04-01' group by L_RETURNFLAG`},
+		{"FullScan+GAggr", `select count(*) as N from LINEITEM where L_TAX > 0.05`},
+	} {
+		var serial exec.ScanStats
+		for _, dop := range []int{1, 2, 4} {
+			cur, err := db.QueryContext(context.Background(), tc.sql, engine.WithDOP(dop))
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := cur.Plan()
+			st, _ := cur.Stats()
+			cur.Close()
+			if got := plan.StrategyName(); got != tc.strategy || plan.DOP != dop {
+				t.Fatalf("%s: plan %s at dop %d, want %s at dop %d", tc.strategy, got, plan.DOP, tc.strategy, dop)
+			}
+			if dop == 1 {
+				serial = st
+				if st.Qualifying+st.Disqualifying+st.Ambivalent+st.PagesRead == 0 {
+					t.Fatalf("%s: serial run reports no work", tc.strategy)
+				}
+				continue
+			}
+			if st.Qualifying != serial.Qualifying || st.Disqualifying != serial.Disqualifying ||
+				st.Ambivalent != serial.Ambivalent || st.PagesRead != serial.PagesRead {
+				t.Errorf("%s: dop %d stats %+v, serial %+v", tc.strategy, dop, st, serial)
+			}
 		}
 	}
 }

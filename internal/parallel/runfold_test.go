@@ -87,26 +87,22 @@ func newFoldRelation(t *testing.T, buckets int) *foldRelation {
 	return rel
 }
 
-// operator returns an SMA_GAggr over the given buckets and grades (nil:
-// all of them, graded by the operator).
-func (rel *foldRelation) operator(p pred.Predicate, buckets []int, grades []core.Grade) *exec.SMAGAggr {
+// operator returns an SMA_GAggr over the bucket range starting at first
+// with the given grades (nil: every bucket, graded by the operator).
+func (rel *foldRelation) operator(p pred.Predicate, first int, grades []core.Grade) *exec.SMAGAggr {
 	op := exec.NewSMAGAggr(rel.h, p, rel.specs, []string{"G"}, rel.grader, rel.aggSMAs, rel.count)
-	op.Buckets, op.Grades, op.KeepPartials = buckets, grades, buckets != nil
+	op.First, op.Grades, op.KeepPartials = first, grades, grades != nil
 	return op
 }
 
-// partitioned folds the given partitions of the relation's buckets one
+// partitioned folds the given bucket ranges [lo, hi) of the relation one
 // operator each and merges their partials, as the parallel executor does.
-func (rel *foldRelation) partitioned(t *testing.T, p pred.Predicate, parts [][]int) []exec.Row {
+func (rel *foldRelation) partitioned(t *testing.T, p pred.Predicate, parts [][2]int) []exec.Row {
 	t.Helper()
 	all := parallel.PreGrade(rel.h, rel.grader, p)
 	merged := map[core.GroupKey]*exec.Partial{}
-	for _, buckets := range parts {
-		grades := make([]core.Grade, len(buckets))
-		for i, b := range buckets {
-			grades[i] = all[b]
-		}
-		op := rel.operator(p, buckets, grades)
+	for _, r := range parts {
+		op := rel.operator(p, r[0], all[r[0]:r[1]])
 		if err := op.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -176,14 +172,14 @@ func TestSMAGAggrRunFoldEqualsBucketFold(t *testing.T) {
 		t.Run(fmt.Sprint(p), func(t *testing.T) {
 			// The reference folds every bucket on its own: a one-bucket
 			// partition never holds a whole run.
-			single := make([][]int, buckets)
+			single := make([][2]int, buckets)
 			for b := range single {
-				single[b] = []int{b}
+				single[b] = [2]int{b, b + 1}
 			}
 			want := rel.partitioned(t, p, single)
 
-			sameFold(t, "serial", drainRows(t, rel.operator(p, nil, nil)), want)
-			cuts := [][]int{seq(0, 37), seq(37, 101), seq(101, 256), seq(256, buckets)}
+			sameFold(t, "serial", drainRows(t, rel.operator(p, 0, nil)), want)
+			cuts := [][2]int{{0, 37}, {37, 101}, {101, 256}, {256, buckets}}
 			sameFold(t, "partitions cutting runs", rel.partitioned(t, p, cuts), want)
 			for _, dop := range []int{1, runtime.NumCPU(), 3} {
 				agg := &parallel.Agg{Mode: parallel.ModeSMAGAggr, Heap: rel.h, Pred: p, Specs: rel.specs,
@@ -192,13 +188,4 @@ func TestSMAGAggrRunFoldEqualsBucketFold(t *testing.T) {
 			}
 		})
 	}
-}
-
-// seq returns the buckets [lo, hi).
-func seq(lo, hi int) []int {
-	out := make([]int, 0, hi-lo)
-	for b := lo; b < hi; b++ {
-		out = append(out, b)
-	}
-	return out
 }

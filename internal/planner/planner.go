@@ -48,7 +48,7 @@ type Strategy uint8
 
 // Plan strategies.
 const (
-	// StrategyFullScan is TableScan + Filter + GAggr, the paper's
+	// StrategyFullScan is a table scan + hash aggregation, the paper's
 	// "Query 1 without SMAs" baseline.
 	StrategyFullScan Strategy = iota
 	// StrategySMAGAggr answers the aggregation from aggregate SMAs for
@@ -100,15 +100,14 @@ type Plan struct {
 	SelSMAs []*core.SMA
 
 	// DOP is the degree of intra-query parallelism the plan executes with
-	// (1 = serial). Aggregation plans with DOP > 1 run through the
-	// internal/parallel subsystem: one worker pipeline per bucket (or
-	// page-range) partition, merged into one sorted result.
+	// (1 = serial). Aggregation plans over a heap run through the
+	// internal/parallel subsystem: one pipeline per bucket (or page-range)
+	// partition, merged into one sorted result; DOP 1 is one partition.
 	DOP int
 
-	// Exec selects the physical execution mode: batch-at-a-time operators
-	// with selection vectors (the default) or the legacy row iterators,
-	// plus the asynchronous page-prefetch window. Copied from the planner
-	// at plan time.
+	// Exec carries the batch size and the asynchronous page-prefetch
+	// window of the batched operators. Copied from the planner at plan
+	// time.
 	Exec exec.ExecOptions
 
 	// Planning diagnostics.
@@ -131,7 +130,7 @@ type Plan struct {
 	// iterator pipeline for this plan (see ScanStats).
 	statsSrc exec.StatsReporter
 	// gradeVec is the full bucket grading computed for the cost estimate;
-	// the parallel executor reuses it instead of grading again.
+	// the executors reuse it instead of grading again.
 	gradeVec []core.Grade
 }
 
@@ -175,8 +174,7 @@ type Planner struct {
 	// aggregation plans; values <= 1 plan serial execution. The effective
 	// per-plan degree is capped by the work available (see ChooseDOP).
 	DOP int
-	// Exec is the physical execution mode stamped onto every plan: batch
-	// vs row operators, batch size, prefetch window.
+	// Exec is stamped onto every plan: batch size and prefetch window.
 	Exec exec.ExecOptions
 	// Obs, when set, is stamped onto every plan so the parallel executor
 	// can feed the skew/utilization metric families. Nil disables.
@@ -525,70 +523,36 @@ func (pl *Planner) planProjection(q *parser.Query, heap *storage.HeapFile, smas 
 // rather than aggregation rows (RowIterator).
 func (p *Plan) IsProjection() bool { return p.Query.IsProjection() }
 
-// serialGrades returns the grade vector computed during planning, padded
-// to the heap's bucket count (missing information degrades to Ambivalent,
-// never to a wrong skip), or nil when planning did not grade. Serial scan
-// operators reuse it instead of grading again, which also hands the
-// prefetcher the surviving page set before the first page access.
-func (p *Plan) serialGrades() []core.Grade {
-	if p.gradeVec == nil {
-		return nil
-	}
-	nb := p.Heap.NumBuckets()
-	g := p.gradeVec
-	if len(g) >= nb {
-		return g[:nb]
-	}
-	out := make([]core.Grade, nb)
-	copy(out, g)
-	for i := len(g); i < nb; i++ {
-		out[i] = core.Ambivalent
-	}
-	return out
-}
-
 // RowIterator builds the aggregation pipeline of the plan. The context, if
 // non-nil, is threaded into the scan operators, which check it on every
-// bucket or page so cancellation aborts the query mid-flight. With
-// DOP > 1 the pipeline is the parallel executor: one worker per bucket
-// (or page-range) partition, partial aggregates merged into one sorted
-// stream, so the rows are the same as a serial run for any DOP.
+// bucket or page so cancellation aborts the query mid-flight. A heap plan
+// always runs through the parallel executor: one pipeline per bucket (or
+// page-range) partition, partial aggregates merged into one sorted stream,
+// and at DOP 1 a single partition that is neither split nor merged — so
+// the rows are the same for any DOP.
 func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 	if p.IsProjection() {
 		return nil, fmt.Errorf("planner: projection plans stream tuples; use TupleIterator")
 	}
 	specs := p.Query.AggSpecs()
 
+	// Span tree, consumer-on-top like a plan tree: sort → fold (or the
+	// parallel merge stage) → scan → prefetch. With p.Span == nil every
+	// child is nil and the Trace* wrappers return their input unchanged,
+	// so the disabled path builds the identical pipeline.
+	sortSp := p.Span.Child("sort")
+	var it exec.RowIter
 	if p.Mem != nil {
-		sortSp := p.Span.Child("sort")
 		foldSp := sortSp.Child("fold")
 		scanSp := foldSp.Child("scan")
 		scanSp.SetNote("mem_scan")
 		scan := exec.NewMemScan(p.Mem.Schema, p.Mem.Tuples, p.Query.Where)
 		scan.Ctx = ctx
 		p.statsSrc = scan
-		fold := exec.NewGAggr(exec.TraceTupleIter(scan, scanSp),
+		fold := exec.NewBatchGAggr(exec.TraceBatchIter(scan, scanSp),
 			p.Mem.Schema, specs, p.Query.GroupBy)
-		var it exec.RowIter = exec.TraceRowIter(fold, foldSp)
-		if len(p.Query.Having) > 0 {
-			it = exec.NewHavingFilter(it, p.Query.GroupBy, specs, p.Query.Having)
-		}
-		it = exec.TraceRowIter(exec.NewSortRows(it), sortSp)
-		if p.Query.Limit >= 0 {
-			it = exec.NewLimitRows(it, p.Query.Limit)
-		}
-		return it, nil
-	}
-
-	// Span tree, consumer-on-top like a plan tree: sort → fold (or the
-	// parallel merge stage) → scan → prefetch. With p.Span == nil every
-	// child is nil and TraceRowIter/TraceBatchIter return their input
-	// unchanged, so the disabled path builds the identical pipeline.
-	sortSp := p.Span.Child("sort")
-	var it exec.RowIter
-	if p.DOP > 1 {
-		mergeSp := sortSp.Child("merge")
-		mergeSp.SetNote("dop=%d", p.DOP)
+		it = exec.TraceRowIter(fold, foldSp)
+	} else {
 		op := &parallel.Agg{
 			Heap:      p.Heap,
 			Pred:      p.Query.Where,
@@ -599,7 +563,7 @@ func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 			DOP:       p.DOP,
 			Ctx:       ctx,
 			Exec:      p.Exec,
-			Span:      mergeSp,
+			Span:      sortSp,
 		}
 		if p.Obs != nil {
 			op.Metrics = p.Obs.Parallel
@@ -615,64 +579,7 @@ func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 			op.Mode = parallel.ModeScan
 		}
 		p.statsSrc = op
-		it = exec.TraceRowIter(op, mergeSp)
-	} else {
-		foldSp := sortSp.Child("fold")
-		switch p.Strategy {
-		case StrategySMAGAggr:
-			foldSp.SetNote("sma_gaggr")
-			op := exec.NewSMAGAggr(p.Heap, p.Query.Where, specs, p.Query.GroupBy,
-				p.Grader, p.AggSMAs, p.CountSMA)
-			op.Ctx = ctx
-			op.Grades = p.serialGrades()
-			op.Opts = p.Exec
-			p.statsSrc = op
-			it = exec.TraceRowIter(op, foldSp)
-		case StrategySMAScan:
-			if p.Exec.Batching() {
-				scanSp := foldSp.Child("scan")
-				scanSp.SetNote("sma_scan batch")
-				scan := exec.NewBatchSMAScan(p.Heap, p.Query.Where, p.Grader, p.Exec)
-				scan.Ctx = ctx
-				scan.Grades = p.serialGrades()
-				p.statsSrc = scan
-				fold := exec.NewBatchGAggr(exec.TraceBatchIter(scan, scanSp),
-					p.Heap.Schema(), specs, p.Query.GroupBy)
-				it = exec.TraceRowIter(fold, foldSp)
-			} else {
-				scanSp := foldSp.Child("scan")
-				scanSp.SetNote("sma_scan")
-				scan := exec.NewSMAScan(p.Heap, p.Query.Where, p.Grader)
-				scan.Ctx = ctx
-				scan.Grades = p.serialGrades()
-				scan.PrefetchWindow = p.Exec.EffectivePrefetchWindow()
-				p.statsSrc = scan
-				fold := exec.NewGAggr(exec.TraceTupleIter(scan, scanSp),
-					p.Heap.Schema(), specs, p.Query.GroupBy)
-				it = exec.TraceRowIter(fold, foldSp)
-			}
-		default:
-			if p.Exec.Batching() {
-				scanSp := foldSp.Child("scan")
-				scanSp.SetNote("table_scan batch")
-				scan := exec.NewBatchTableScan(p.Heap, p.Query.Where, p.Exec)
-				scan.Ctx = ctx
-				p.statsSrc = scan
-				fold := exec.NewBatchGAggr(exec.TraceBatchIter(scan, scanSp),
-					p.Heap.Schema(), specs, p.Query.GroupBy)
-				it = exec.TraceRowIter(fold, foldSp)
-			} else {
-				scanSp := foldSp.Child("scan")
-				scanSp.SetNote("table_scan")
-				scan := exec.NewTableScan(p.Heap, p.Query.Where)
-				scan.Ctx = ctx
-				scan.PrefetchWindow = p.Exec.EffectivePrefetchWindow()
-				p.statsSrc = scan
-				fold := exec.NewGAggr(exec.TraceTupleIter(scan, scanSp),
-					p.Heap.Schema(), specs, p.Query.GroupBy)
-				it = exec.TraceRowIter(fold, foldSp)
-			}
-		}
+		it = op
 	}
 	if len(p.Query.Having) > 0 {
 		it = exec.NewHavingFilter(it, p.Query.GroupBy, specs, p.Query.Having)
@@ -684,44 +591,51 @@ func (p *Plan) RowIterator(ctx context.Context) (exec.RowIter, error) {
 	return it, nil
 }
 
-// TupleIterator builds the streaming tuple pipeline of a projection plan.
-// Tuples are produced in physical order, one page at a time; nothing is
-// materialized. The context, if non-nil, aborts the scan when cancelled.
+// TupleIterator builds the streaming tuple pipeline of a projection plan:
+// a batch scan adapted to tuples, with ORDER BY and LIMIT stacked on top.
+// Tuples are produced in physical order, one batch at a time; nothing is
+// materialized unless the query sorts. The context, if non-nil, aborts
+// the scan when cancelled.
 func (p *Plan) TupleIterator(ctx context.Context) (exec.TupleIter, error) {
 	if !p.IsProjection() {
 		return nil, fmt.Errorf("planner: aggregation plans produce rows; use RowIterator")
 	}
 	scanSp := p.Span.Child("scan")
-	var it exec.TupleIter
-	if p.Mem != nil {
-		scanSp.SetNote("mem_scan projection")
-		scan := exec.NewMemScan(p.Mem.Schema, p.Mem.Tuples, p.Query.Where)
-		scan.Ctx = ctx
-		p.statsSrc = scan
-		it = exec.TraceTupleIter(scan, scanSp)
-	} else if p.Strategy == StrategySMAScan {
-		scanSp.SetNote("sma_scan projection")
-		scan := exec.NewSMAScan(p.Heap, p.Query.Where, p.Grader)
-		scan.Ctx = ctx
-		scan.Grades = p.serialGrades()
-		scan.PrefetchWindow = p.Exec.EffectivePrefetchWindow()
-		p.statsSrc = scan
-		it = exec.TraceTupleIter(scan, scanSp)
-	} else {
-		scanSp.SetNote("table_scan projection")
-		scan := exec.NewTableScan(p.Heap, p.Query.Where)
-		scan.Ctx = ctx
-		scan.PrefetchWindow = p.Exec.EffectivePrefetchWindow()
-		p.statsSrc = scan
-		it = exec.TraceTupleIter(scan, scanSp)
+	opts := p.Exec
+	if p.Query.Limit >= 0 && len(p.Query.OrderBy) == 0 {
+		// The stream stops after Limit tuples: batches no larger than that
+		// (a page at least) keep the scan from reading pages past the one
+		// that completes the result.
+		opts.BatchSize = min(opts.EffectiveBatchSize(), max(1, p.Query.Limit))
 	}
-	if len(p.Query.OrderBy) > 0 {
-		var schema *tuple.Schema
-		if p.Mem != nil {
-			schema = p.Mem.Schema
-		} else {
-			schema = p.Heap.Schema()
+	var scan interface {
+		exec.BatchIter
+		exec.StatsReporter
+	}
+	var schema *tuple.Schema
+	switch {
+	case p.Mem != nil:
+		scanSp.SetNote("mem_scan projection")
+		s := exec.NewMemScan(p.Mem.Schema, p.Mem.Tuples, p.Query.Where)
+		s.Ctx = ctx
+		scan, schema = s, p.Mem.Schema
+	case p.Strategy == StrategySMAScan:
+		scanSp.SetNote("sma_scan projection")
+		s := exec.NewBatchSMAScan(p.Heap, p.Query.Where, p.Grader, opts)
+		s.Ctx = ctx
+		if p.gradeVec != nil {
+			s.Grades = parallel.PadGrades(p.gradeVec, p.Heap.NumBuckets())
 		}
+		scan, schema = s, p.Heap.Schema()
+	default:
+		scanSp.SetNote("table_scan projection")
+		s := exec.NewBatchTableScan(p.Heap, p.Query.Where, opts)
+		s.Ctx = ctx
+		scan, schema = s, p.Heap.Schema()
+	}
+	p.statsSrc = scan
+	var it exec.TupleIter = exec.NewBatchToTuples(exec.TraceBatchIter(scan, scanSp))
+	if len(p.Query.OrderBy) > 0 {
 		st, err := exec.NewSortTuples(it, schema, p.Query.OrderBy, p.Query.OrderDesc)
 		if err != nil {
 			return nil, err
@@ -744,15 +658,4 @@ func (p *Plan) ScanStats() (exec.ScanStats, bool) {
 		return exec.ScanStats{}, false
 	}
 	return p.statsSrc.Stats(), true
-}
-
-// Execute runs an aggregation plan to completion and returns the sorted
-// result rows. It is the materializing path retained for the internal
-// engine API and tests; streaming consumers use RowIterator/TupleIterator.
-func (p *Plan) Execute() ([]exec.Row, error) {
-	it, err := p.RowIterator(nil)
-	if err != nil {
-		return nil, err
-	}
-	return exec.CollectRows(it)
 }

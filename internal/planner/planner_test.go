@@ -5,12 +5,22 @@ import (
 	"testing"
 
 	"sma/internal/core"
+	"sma/internal/exec"
 	"sma/internal/parser"
 	"sma/internal/planner"
 	"sma/internal/storage"
 	"sma/internal/testutil"
 	"sma/internal/tpcd"
 )
+
+// execute runs an aggregation plan to completion and returns its rows.
+func execute(p *planner.Plan) ([]exec.Row, error) {
+	it, err := p.RowIterator(nil)
+	if err != nil {
+		return nil, err
+	}
+	return exec.CollectRows(it)
+}
 
 // newLineItem loads a small LINEITEM heap in the given order.
 func newLineItem(t testing.TB, order tpcd.Order, sf float64) *storage.HeapFile {
@@ -95,7 +105,7 @@ func TestPlannerPicksSMAGAggr(t *testing.T) {
 	if p.Grades.Ambivalent > 1 {
 		t.Errorf("sorted data should have at most 1 ambivalent bucket: %+v", p.Grades)
 	}
-	rows, err := p.Execute()
+	rows, err := execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +138,7 @@ func TestPlannerSMAScanWhenAggregatesUncovered(t *testing.T) {
 	if p.Strategy != planner.StrategySMAScan {
 		t.Fatalf("strategy = %s, want SMA_Scan\n%s", p.Strategy, p.Explain())
 	}
-	rows, err := p.Execute()
+	rows, err := execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +150,7 @@ func TestPlannerSMAScanWhenAggregatesUncovered(t *testing.T) {
 	if pFull.Strategy != planner.StrategyFullScan {
 		t.Fatalf("without SMAs: %s", pFull.Strategy)
 	}
-	want, err := pFull.Execute()
+	want, err := execute(pFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +190,13 @@ func TestPlannerNoWhere(t *testing.T) {
 	if p.Grades.Qualifying != h.NumBuckets() {
 		t.Errorf("all buckets should qualify: %+v", p.Grades)
 	}
-	rows, err := p.Execute()
+	rows, err := execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Cross-check totals against a plain scan.
 	pFull := plan(t, "select L_RETURNFLAG, sum(L_QUANTITY) as S from LINEITEM group by L_RETURNFLAG order by L_RETURNFLAG", h, nil)
-	want, err := pFull.Execute()
+	want, err := execute(pFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,12 +253,12 @@ func TestPlannerEqualityViaCountSMA(t *testing.T) {
 	if p.Grades.Qualifying+p.Grades.Disqualifying == 0 {
 		t.Errorf("count SMA graded nothing: %+v", p.Grades)
 	}
-	rows, err := p.Execute()
+	rows, err := execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pFull := plan(t, "select count(*) as N from LINEITEM where L_RETURNFLAG = 'N'", h, nil)
-	want, err := pFull.Execute()
+	want, err := execute(pFull)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,8 +61,8 @@ const (
 	MaxDOP = 512
 	// MaxBatchSize caps the per-request tuples-per-batch target: batch
 	// buffers are sized batch×record up front, so an unbounded value
-	// would let one request allocate the server to death. Any negative
-	// value selects the row-at-a-time fallback.
+	// would let one request allocate the server to death. Any value <= 0
+	// selects the engine's default size.
 	MaxBatchSize = 1 << 16
 	// MaxTimeoutMillis caps the per-request deadline (24h).
 	MaxTimeoutMillis = 24 * 60 * 60 * 1000
@@ -77,8 +77,7 @@ type QueryRequest struct {
 	// this query (0 keeps the server default, 1 forces serial).
 	DOP int `json:"dop,omitempty"`
 	// BatchSize overrides the tuples-per-batch target (absent keeps the
-	// server default, 0 the engine default size, negative runs the legacy
-	// row-at-a-time iterators).
+	// server default, <= 0 the engine default size).
 	BatchSize *int `json:"batch_size,omitempty"`
 	// TimeoutMillis bounds execution; past it the query fails with 504 (or
 	// an in-stream error frame once streaming began). 0 means no deadline.

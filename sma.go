@@ -107,13 +107,11 @@ func WithReadLatency(d time.Duration) Option {
 	return func(o *openConfig) { o.eng.ReadLatency = d }
 }
 
-// WithBatchSize sets the tuples-per-batch target of the vectorized read
-// path (default 1024 tuples). The batched operators decode each heap page
-// into a reusable batch once, evaluate the predicate as a tight loop
-// producing a selection vector, and fold aggregates per batch instead of
-// per tuple. Passing a negative n disables batching: plans fall back to
-// the legacy row-at-a-time iterators (the pre-batch execution engine,
-// kept as the projection-streaming substrate and for A/B comparison).
+// WithBatchSize sets the tuples-per-batch target of the batched operators
+// (default 1024 tuples; n <= 0 keeps the default). Every scan decodes each
+// heap page into a reusable batch once, evaluates the predicate as a tight
+// loop producing a selection vector, and folds aggregates per batch
+// instead of per tuple. Results do not depend on the batch size.
 func WithBatchSize(n int) Option {
 	return func(o *openConfig) { o.eng.BatchSize = n }
 }
@@ -216,9 +214,8 @@ func WithQueryParallelism(n int) QueryOption {
 }
 
 // WithQueryBatchSize overrides the database's tuples-per-batch target for
-// one query: 0 batches at the default size, a negative n runs the query on
-// the legacy row-at-a-time iterators. Results are identical either way;
-// the knob exists for A/B comparison and for serving layers that let
+// one query; n <= 0 batches at the default size. Results are identical at
+// every size; the knob exists for tuning and for serving layers that let
 // clients choose per request.
 func WithQueryBatchSize(n int) QueryOption {
 	return func(c *queryConfig) { c.batch = &n }

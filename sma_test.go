@@ -360,6 +360,12 @@ func TestProjectionStreaming(t *testing.T) {
 	if n != 25 {
 		t.Errorf("limit 25 returned %d rows", n)
 	}
+	// The first rows of the sorted relation qualify, so a LIMIT without
+	// ORDER BY must stop at the page that completes it, not read a whole
+	// default-size batch of pages.
+	if st, ok := rows.Stats(); !ok || st.PagesRead > 1 {
+		t.Errorf("limit 25 read %d pages (stats %v), want 1", st.PagesRead, ok)
+	}
 }
 
 // TestScanTypedDestinations: Scan converts into the documented
@@ -472,7 +478,8 @@ func TestCatalogSnapshot(t *testing.T) {
 }
 
 // TestQueryBatchSizeOption checks the per-query batch override returns
-// identical bytes in row mode, tiny-batch mode, and the default.
+// identical bytes with one-page batches, tiny batches, the default, and a
+// negative size (which means the default).
 func TestQueryBatchSizeOption(t *testing.T) {
 	db, err := Open(t.TempDir())
 	if err != nil {
@@ -502,8 +509,11 @@ func TestQueryBatchSizeOption(t *testing.T) {
 		return res.String()
 	}
 	base := render()
+	if got := render(WithQueryBatchSize(1)); got != base {
+		t.Fatalf("one-page batches differ:\n%s\nvs\n%s", got, base)
+	}
 	if got := render(WithQueryBatchSize(-1)); got != base {
-		t.Fatalf("row mode differs:\n%s\nvs\n%s", got, base)
+		t.Fatalf("batch=-1 differs:\n%s\nvs\n%s", got, base)
 	}
 	if got := render(WithQueryBatchSize(7)); got != base {
 		t.Fatalf("batch=7 differs:\n%s\nvs\n%s", got, base)
